@@ -55,7 +55,6 @@ from .word import (
     resize,
     shift_left,
     split_digits,
-    word_from_uint,
 )
 
 __version__ = "0.1.0"
@@ -101,5 +100,4 @@ __all__ = [
     "to_trace_dict",
     "to_trace_json",
     "verify_trace_dict",
-    "word_from_uint",
 ]

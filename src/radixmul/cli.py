@@ -107,6 +107,8 @@ def _cmd_verify(args) -> int:
         pairs = ((av, bv) for av in range(size) for bv in range(size))
         total = size * size
     else:
+        if args.random < 1:
+            raise ValueError(f"--random needs a COUNT of at least 1, got {args.random}")
         mode = f"random {args.random}"
         seed = _resolve_seed(args.seed)
         rng = random.Random(seed)

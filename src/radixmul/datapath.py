@@ -139,6 +139,39 @@ class CsaResult(NamedTuple):
     carry: Word
 
 
+def _csa(x: int, y: int, z: int) -> tuple[int, int]:
+    # bitwise sum and majority carry; sum + 2*carry == x + y + z
+    return x ^ y ^ z, (x & y) | (y & z) | (x & z)
+
+
+def _ripple(x: int, y: int, carry_in: int) -> int:
+    # the carry out is kept above the operands' top bit
+    s = x ^ y ^ carry_in
+    carry = ((x & y) | (carry_in & (x | y))) << 1
+    while carry:
+        s, carry = s ^ carry, (s & carry) << 1
+    return s
+
+
+def _central_step(residue: int, pp: int, k: int, adder_width: int) -> tuple[int, int]:
+    # one central-adder cycle on plain integers: (emitted bits, next residue)
+    if (residue | pp) >> adder_width:
+        raise AdderSizingError(
+            f"value {max(residue, pp)} does not fit in {adder_width} bits"
+        )
+    s, c = _csa(residue, pp, 0)
+    if c >> (adder_width - 1):
+        raise AdderSizingError(
+            f"carry word overflows the {adder_width}-bit adder"
+        )
+    total = _ripple(s, c << 1, 0)
+    if total >> adder_width:
+        raise AdderSizingError(
+            f"residue + partial product overflows the {adder_width}-bit adder"
+        )
+    return total & ((1 << k) - 1), total >> k
+
+
 def csa(x: Word, y: Word, z: Word) -> CsaResult:
     """Carry-save 3:2 compression: bitwise sum and majority carry.
 
@@ -149,9 +182,7 @@ def csa(x: Word, y: Word, z: Word) -> CsaResult:
         raise WidthMismatchError(
             f"csa widths differ: {x.width}, {y.width}, {z.width}"
         )
-    xv, yv, zv = x.value, y.value, z.value
-    s = xv ^ yv ^ zv
-    c = (xv & yv) | (yv & zv) | (xv & zv)
+    s, c = _csa(x.value, y.value, z.value)
     return CsaResult(Word(s, x.width), Word(c, x.width))
 
 
@@ -168,22 +199,8 @@ def rca(x: Word, y: Word, carry_in: int = 0) -> tuple[Word, int]:
     if carry_in not in (0, 1):
         raise ValueError(f"carry_in must be a bit, got {carry_in}")
     width = x.width
-    xv, yv = x.value, y.value
-    s = xv ^ yv ^ carry_in
-    carry = ((xv & yv) | (carry_in & (xv | yv))) << 1
-    while carry:
-        s, carry = s ^ carry, (s & carry) << 1
-    return Word(s & ((1 << width) - 1), width), s >> width
-
-
-_zero_words: dict[int, Word] = {}
-
-
-def _zero(width: int) -> Word:
-    w = _zero_words.get(width)
-    if w is None:
-        w = _zero_words[width] = Word(0, width)
-    return w
+    total = _ripple(x.value, y.value, carry_in)
+    return Word(total & ((1 << width) - 1), width), total >> width
 
 
 def central_adder_step(residue: Word, pp: Word, k: int,
@@ -196,21 +213,5 @@ def central_adder_step(residue: Word, pp: Word, k: int,
     bits become the next residue. Any overflow of the adder width is a
     sizing error: the modeled adder has too few input lines.
     """
-    try:
-        r = resize(residue, adder_width)
-        p = resize(pp, adder_width)
-    except WidthOverflowError as exc:
-        raise AdderSizingError(str(exc)) from None
-    compressed = csa(r, p, _zero(adder_width))
-    carry = compressed.carry
-    if carry.value >> (adder_width - 1):
-        raise AdderSizingError(
-            f"carry word overflows the {adder_width}-bit adder"
-        )
-    total, carry_out = rca(compressed.sum, shift_left(carry, 1, adder_width))
-    if carry_out:
-        raise AdderSizingError(
-            f"residue + partial product overflows the {adder_width}-bit adder"
-        )
-    emitted = Digit(total.value & ((1 << k) - 1), k)
-    return emitted, Word(total.value >> k, adder_width)
+    emitted, rest = _central_step(residue.value, pp.value, k, adder_width)
+    return Digit(emitted, k), Word(rest, adder_width)

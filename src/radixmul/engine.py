@@ -9,6 +9,7 @@ zero partial product drain the residue into the output registers.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -21,7 +22,7 @@ from .datapath import (
     decompose_digit,
     mux_select,
 )
-from .word import Digit, Word, split_digits
+from .word import Word, split_digits
 
 
 class ConfigError(ValueError):
@@ -80,10 +81,10 @@ class SimConfig:
                 f"adder_width {self.adder_width} below minimum "
                 f"{self.n + self.k + 2} for n={self.n} k={self.k}"
             )
-        if self.clock_period_ns <= 0:
-            raise ConfigError("clock_period_ns must be positive")
-        if self.load_delay_ns < 0:
-            raise ConfigError("load_delay_ns must be non-negative")
+        if not (math.isfinite(self.clock_period_ns) and self.clock_period_ns > 0):
+            raise ConfigError("clock_period_ns must be positive and finite")
+        if not (math.isfinite(self.load_delay_ns) and self.load_delay_ns >= 0):
+            raise ConfigError("load_delay_ns must be non-negative and finite")
 
     @property
     def digit_cycles(self) -> int:
@@ -128,8 +129,10 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
     it into an odd core and a shift, select the precomputed multiple,
     barrel-shift it into the final partial product, and push it through
     the central adder, which emits the k low bits and feeds the rest
-    back. The residue is asserted to stay below 2^(n+1) every cycle,
-    which is what justifies the default adder sizing.
+    back. Once the digits run out, flush cycles feed a zero partial
+    product until the flush policy is met. A residue that reaches
+    2^(n+1), the bound that justifies the default adder sizing, raises
+    AdderSizingError.
     """
     if a.width != cfg.n or b.width != cfg.n:
         raise ConfigError(
@@ -139,38 +142,33 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
     adder_width = cfg.adder_width
     table = build_multiple_table(a, k)
     digits = split_digits(b, k)
+    early_stop = cfg.flush_policy is FlushPolicy.EARLY_STOP
+    target = _full_width_cycles(cfg)
     residue = Word(0, adder_width)
     residue_bound = 1 << (cfg.n + 1)
     trace: list[CycleRecord] = []
 
-    for digit in digits:
-        odd_core, shift = decompose_digit(digit)
-        pp = barrel_shift(mux_select(table, odd_core), shift, k)
+    cycle = 0
+    while cycle < len(digits) or (residue.value if early_stop else cycle < target):
+        if cycle < len(digits):
+            digit = digits[cycle]
+            odd_core, shift = decompose_digit(digit)
+            pp = barrel_shift(mux_select(table, odd_core), shift, k)
+            digit_value = digit.value
+        else:
+            digit_value, odd_core, shift, pp = None, 0, 0, table.zero
         before = residue.value
         emitted, residue = central_adder_step(residue, pp, k, adder_width)
         after = residue.value
-        assert after < residue_bound, f"residue {after} breaks the 2^(n+1) bound"
-        trace.append(CycleRecord(len(trace), digit.value, odd_core, shift,
-                                 pp.value, before, after, emitted.value))
-
-    def flush_cycle():
-        nonlocal residue
-        before = residue.value
-        emitted, residue = central_adder_step(residue, table.zero, k, adder_width)
-        trace.append(CycleRecord(len(trace), None, 0, 0, 0,
-                                 before, residue.value, emitted.value))
-
-    if cfg.flush_policy is FlushPolicy.FULL_WIDTH:
-        target = max(len(digits), -(-2 * cfg.n // k))
-        while len(trace) < target:
-            flush_cycle()
-    else:
-        while residue.value:
-            flush_cycle()
+        if after >= residue_bound:
+            raise AdderSizingError(f"residue {after} breaks the 2^(n+1) bound")
+        trace.append(CycleRecord(cycle, digit_value, odd_core, shift, pp.value,
+                                 before, after, emitted.value))
+        cycle += 1
 
     product = assemble_product(trace, cfg.n, k)
-    total_time_ns = cfg.load_delay_ns + len(trace) * cfg.clock_period_ns
-    return SimResult(a, b, cfg, product, len(trace), total_time_ns, trace)
+    total_time_ns = cfg.load_delay_ns + cycle * cfg.clock_period_ns
+    return SimResult(a, b, cfg, product, cycle, total_time_ns, trace)
 
 
 def assemble_product(records: list[CycleRecord], n: int, k: int) -> Word:
@@ -191,6 +189,11 @@ def assemble_product(records: list[CycleRecord], n: int, k: int) -> Word:
     return Word(value, 2 * n)
 
 
+def _full_width_cycles(cfg: SimConfig) -> int:
+    # emission slots for all 2n product bits; never fewer than digit_cycles
+    return -(-2 * cfg.n // cfg.k)
+
+
 def cycle_count_model(a: Word, b: Word, cfg: SimConfig) -> int:
     """Closed-form cycle count that the simulation must reproduce.
 
@@ -198,9 +201,9 @@ def cycle_count_model(a: Word, b: Word, cfg: SimConfig) -> int:
     needs the digit cycles plus however many k-bit chunks of product
     remain above the bits already emitted.
     """
-    d = cfg.digit_cycles
     if cfg.flush_policy is FlushPolicy.FULL_WIDTH:
-        return max(d, -(-2 * cfg.n // cfg.k))
+        return _full_width_cycles(cfg)
+    d = cfg.digit_cycles
     product_bits = (a.value * b.value).bit_length()
     extra = product_bits - cfg.k * d
     return d + (-(-extra // cfg.k) if extra > 0 else 0)
@@ -244,38 +247,45 @@ def to_trace_json(result: SimResult, indent: int | None = 2) -> str:
 
 
 def from_trace_dict(doc: dict) -> SimResult:
-    """Rebuild a SimResult from its JSON document (inverse of to_trace_dict)."""
-    c = doc["config"]
-    cfg = SimConfig(
-        n=c["n"],
-        k=c["k"],
-        adder_width=c["adder_width"],
-        clock_period_ns=c["clock_period_ns"],
-        load_delay_ns=c["load_delay_ns"],
-        flush_policy=FlushPolicy(c["flush_policy"]),
-    )
-    trace = [
-        CycleRecord(
-            r["cycle"],
-            None if r["digit"] is None else int(r["digit"], 16),
-            int(r["odd_core"], 16),
-            r["shift"],
-            int(r["pp"], 16),
-            int(r["residue_before"], 16),
-            int(r["residue_after"], 16),
-            int(r["emitted"], 16),
+    """Rebuild a SimResult from its JSON document (inverse of to_trace_dict).
+
+    A document with missing keys or wrongly typed values raises
+    ValueError.
+    """
+    try:
+        c = doc["config"]
+        cfg = SimConfig(
+            n=c["n"],
+            k=c["k"],
+            adder_width=c["adder_width"],
+            clock_period_ns=c["clock_period_ns"],
+            load_delay_ns=c["load_delay_ns"],
+            flush_policy=FlushPolicy(c["flush_policy"]),
         )
-        for r in doc["trace"]
-    ]
-    return SimResult(
-        a=Word(int(doc["a"], 16), cfg.n),
-        b=Word(int(doc["b"], 16), cfg.n),
-        config=cfg,
-        product=Word(int(doc["product"], 16), 2 * cfg.n),
-        cycles=doc["cycles"],
-        total_time_ns=doc["total_time_ns"],
-        trace=trace,
-    )
+        trace = [
+            CycleRecord(
+                r["cycle"],
+                None if r["digit"] is None else int(r["digit"], 16),
+                int(r["odd_core"], 16),
+                r["shift"],
+                int(r["pp"], 16),
+                int(r["residue_before"], 16),
+                int(r["residue_after"], 16),
+                int(r["emitted"], 16),
+            )
+            for r in doc["trace"]
+        ]
+        return SimResult(
+            a=Word(int(doc["a"], 16), cfg.n),
+            b=Word(int(doc["b"], 16), cfg.n),
+            config=cfg,
+            product=Word(int(doc["product"], 16), 2 * cfg.n),
+            cycles=doc["cycles"],
+            total_time_ns=doc["total_time_ns"],
+            trace=trace,
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed trace document: {exc!r}") from None
 
 
 def verify_trace_dict(doc: dict) -> None:

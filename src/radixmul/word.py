@@ -89,11 +89,6 @@ class Digit:
         return f"Digit(0b{format(self.value, f'0{self.k}b')}, k={self.k})"
 
 
-def word_from_uint(value: int, width: int) -> Word:
-    """Construct a Word, rejecting values that do not fit the width."""
-    return Word(value, width)
-
-
 def resize(w: Word, width: int) -> Word:
     """Same value at a new width; raises if the value no longer fits."""
     if width == w.width:

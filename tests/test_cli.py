@@ -74,6 +74,13 @@ class TestMul:
         assert code == 2
         assert "error" in err
 
+    def test_non_finite_clock(self, capsys):
+        code, out, err = run(capsys, "mul", "--a", "3", "--b", "5",
+                             "--clock-ns", "nan")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "clock_period_ns" in err
+
 
 class TestVerify:
     def test_exhaustive_small(self, capsys):
@@ -98,6 +105,14 @@ class TestVerify:
                            "--seed", "42")
         assert code == 0
         assert "300 pairs, 0 failures (seed 42)" in out
+
+    @pytest.mark.parametrize("count", ["-3", "0"])
+    def test_random_count_must_be_positive(self, capsys, count):
+        code, out, err = run(capsys, "verify", "--random", count,
+                             "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--random" in err
 
     def test_random_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "16", "--random", "50",

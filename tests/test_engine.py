@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from radixmul import engine
 from radixmul.datapath import AdderSizingError
 from radixmul.engine import (
     ConfigError,
@@ -17,7 +19,7 @@ from radixmul.engine import (
     to_trace_json,
     verify_trace_dict,
 )
-from radixmul.word import Word
+from radixmul.word import Digit, Word
 
 
 def cfg6(policy=FlushPolicy.FULL_WIDTH):
@@ -55,6 +57,11 @@ class TestSimConfig:
             SimConfig(n=8, clock_period_ns=0)
         with pytest.raises(ConfigError):
             SimConfig(n=8, load_delay_ns=-1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                SimConfig(n=8, clock_period_ns=bad)
+            with pytest.raises(ConfigError):
+                SimConfig(n=8, load_delay_ns=bad)
 
 
 class TestWorkedExample:
@@ -175,6 +182,30 @@ class TestCycleInvariants:
             assert r.residue_after < 1 << 17
             prev = r.residue_after
 
+    def test_residue_bound_is_a_typed_error(self, monkeypatch):
+        cfg = SimConfig(n=4, k=2)
+
+        def oversized(residue, pp, k, adder_width):
+            return Digit(0, k), Word(1 << (cfg.n + 1), adder_width)
+
+        monkeypatch.setattr(engine, "central_adder_step", oversized)
+        with pytest.raises(AdderSizingError, match="bound"):
+            simulate(Word(1, 4), Word(1, 4), cfg)
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 8)
+                                     for k in range(1, n + 1)])
+    @given(st.integers(0, 127), st.integers(0, 127),
+           st.sampled_from(list(FlushPolicy)))
+    @example(127, 127, FlushPolicy.FULL_WIDTH)
+    @example(127, 127, FlushPolicy.EARLY_STOP)
+    def test_minimum_adder_width(self, n, k, a, b, policy):
+        # operands are drawn as 7-bit values and cut to n bits
+        wa, wb = Word(a % (1 << n), n), Word(b % (1 << n), n)
+        cfg = SimConfig(n=n, k=k, adder_width=n + k + 2, flush_policy=policy)
+        res = simulate(wa, wb, cfg)
+        assert res.product.value == wa.value * wb.value
+        assert res.cycles == cycle_count_model(wa, wb, cfg)
+
     def test_digit_cycle_count_is_padded_width_over_k(self):
         for b in [0, 1, 0x8000, 0xFFFF, 0x1234]:
             res = simulate(Word(3, 16), Word(b, 16), SimConfig(n=16))
@@ -289,6 +320,14 @@ class TestTraceSerialization:
         doc["product"] = "0x334"
         with pytest.raises(ValueError, match="product"):
             verify_trace_dict(doc)
+
+    def test_malformed_documents_are_value_errors(self):
+        empty_record = to_trace_dict(self.make_result())
+        empty_record["trace"][0] = {}
+        for doc in ({}, {"config": 5}, empty_record):
+            for check in (from_trace_dict, verify_trace_dict):
+                with pytest.raises(ValueError, match="malformed"):
+                    check(doc)
 
     def test_verify_catches_wrong_time(self):
         doc = to_trace_dict(self.make_result())

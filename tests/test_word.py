@@ -13,13 +13,12 @@ from radixmul.word import (
     resize,
     shift_left,
     split_digits,
-    word_from_uint,
 )
 
 
 class TestWordConstruction:
     def test_zero(self):
-        w = word_from_uint(0, 8)
+        w = Word(0, 8)
         assert w.value == 0 and w.width == 8
 
     def test_bits_lsb_first(self):
@@ -29,7 +28,7 @@ class TestWordConstruction:
 
     def test_value_too_wide(self):
         with pytest.raises(WidthOverflowError):
-            word_from_uint(256, 8)
+            Word(256, 8)
 
     def test_negative_value(self):
         with pytest.raises(WidthOverflowError):
