@@ -78,7 +78,7 @@ def _cmd_mul(args) -> int:
     a = parse_word(args.a, cfg.n)
     b = parse_word(args.b, cfg.n)
     result = simulate(a, b, cfg)
-    doc = to_trace_json(result)
+    doc = to_trace_json(result) if args.trace or args.json else None
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as f:
             f.write(doc + "\n")

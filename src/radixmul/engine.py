@@ -10,12 +10,13 @@ zero partial product drain the residue into the output registers.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
 
 from .datapath import (
     AdderSizingError,
+    _odd_shift,
     barrel_shift,
     build_multiple_table,
     central_adder_step,
@@ -67,13 +68,10 @@ class SimConfig:
     def __post_init__(self):
         if self.adder_width is None:
             self.adder_width = self.n + 3 * self.k
-        if isinstance(self.flush_policy, str):
-            try:
-                self.flush_policy = FlushPolicy(self.flush_policy)
-            except ValueError:
-                raise ConfigError(
-                    f"unknown flush policy {self.flush_policy!r}"
-                ) from None
+        try:
+            self.flush_policy = FlushPolicy(self.flush_policy)
+        except ValueError:
+            raise ConfigError(f"unknown flush policy {self.flush_policy!r}") from None
         if self.n < 1 or not 1 <= self.k <= self.n:
             raise ConfigError(f"need 1 <= k <= n, got n={self.n} k={self.k}")
         if self.adder_width < self.n + self.k + 2:
@@ -90,6 +88,15 @@ class SimConfig:
     def digit_cycles(self) -> int:
         """Digit-consuming cycles: one per k-bit chunk of the padded multiplier."""
         return -(-self.n // self.k)
+
+    @property
+    def full_width_cycles(self) -> int:
+        """Emission slots for all 2n product bits; never fewer than digit_cycles."""
+        return -(-2 * self.n // self.k)
+
+    def total_time_ns(self, cycles: int) -> float:
+        """Load delay plus one clock period per cycle."""
+        return self.load_delay_ns + cycles * self.clock_period_ns
 
 
 class CycleRecord(NamedTuple):
@@ -143,7 +150,7 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
     table = build_multiple_table(a, k)
     digits = split_digits(b, k)
     early_stop = cfg.flush_policy is FlushPolicy.EARLY_STOP
-    target = _full_width_cycles(cfg)
+    target = cfg.full_width_cycles
     residue = Word(0, adder_width)
     residue_bound = 1 << (cfg.n + 1)
     trace: list[CycleRecord] = []
@@ -167,8 +174,7 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
         cycle += 1
 
     product = assemble_product(trace, cfg.n, k)
-    total_time_ns = cfg.load_delay_ns + cycle * cfg.clock_period_ns
-    return SimResult(a, b, cfg, product, cycle, total_time_ns, trace)
+    return SimResult(a, b, cfg, product, cycle, cfg.total_time_ns(cycle), trace)
 
 
 def assemble_product(records: list[CycleRecord], n: int, k: int) -> Word:
@@ -189,11 +195,6 @@ def assemble_product(records: list[CycleRecord], n: int, k: int) -> Word:
     return Word(value, 2 * n)
 
 
-def _full_width_cycles(cfg: SimConfig) -> int:
-    # emission slots for all 2n product bits; never fewer than digit_cycles
-    return -(-2 * cfg.n // cfg.k)
-
-
 def cycle_count_model(a: Word, b: Word, cfg: SimConfig) -> int:
     """Closed-form cycle count that the simulation must reproduce.
 
@@ -202,7 +203,7 @@ def cycle_count_model(a: Word, b: Word, cfg: SimConfig) -> int:
     remain above the bits already emitted.
     """
     if cfg.flush_policy is FlushPolicy.FULL_WIDTH:
-        return _full_width_cycles(cfg)
+        return cfg.full_width_cycles
     d = cfg.digit_cycles
     product_bits = (a.value * b.value).bit_length()
     extra = product_bits - cfg.k * d
@@ -212,15 +213,10 @@ def cycle_count_model(a: Word, b: Word, cfg: SimConfig) -> int:
 def to_trace_dict(result: SimResult) -> dict:
     """JSON document for one run; multi-bit values as 0x-hex strings."""
     cfg = result.config
+    config = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    config["flush_policy"] = cfg.flush_policy.value
     return {
-        "config": {
-            "n": cfg.n,
-            "k": cfg.k,
-            "adder_width": cfg.adder_width,
-            "clock_period_ns": cfg.clock_period_ns,
-            "load_delay_ns": cfg.load_delay_ns,
-            "flush_policy": cfg.flush_policy.value,
-        },
+        "config": config,
         "a": hex(result.a.value),
         "b": hex(result.b.value),
         "product": hex(result.product.value),
@@ -242,8 +238,8 @@ def to_trace_dict(result: SimResult) -> dict:
     }
 
 
-def to_trace_json(result: SimResult, indent: int | None = 2) -> str:
-    return json.dumps(to_trace_dict(result), indent=indent)
+def to_trace_json(result: SimResult) -> str:
+    return json.dumps(to_trace_dict(result), indent=2)
 
 
 def from_trace_dict(doc: dict) -> SimResult:
@@ -254,14 +250,7 @@ def from_trace_dict(doc: dict) -> SimResult:
     """
     try:
         c = doc["config"]
-        cfg = SimConfig(
-            n=c["n"],
-            k=c["k"],
-            adder_width=c["adder_width"],
-            clock_period_ns=c["clock_period_ns"],
-            load_delay_ns=c["load_delay_ns"],
-            flush_policy=FlushPolicy(c["flush_policy"]),
-        )
+        cfg = SimConfig(**{f.name: c[f.name] for f in fields(SimConfig)})
         trace = [
             CycleRecord(
                 r["cycle"],
@@ -291,15 +280,21 @@ def from_trace_dict(doc: dict) -> SimResult:
 def verify_trace_dict(doc: dict) -> None:
     """Re-check a serialized trace's invariants, raising on the first violation.
 
-    Checks per-cycle conservation (emitted + 2^k * residue_after equals
-    residue_before + pp), residue chaining between cycles, product
-    reassembly, the cycle count, and the timing identity.
+    Per cycle: the cycle index, residue chaining, conservation
+    (emitted + 2^k * residue_after equals residue_before + pp), the digit
+    against b's k-bit chunk (None on flush cycles), odd_core and shift
+    as the digit's factoring, and pp == digit * a by native
+    multiplication. Then: an empty final residue, the cycle count
+    against the records and cycle_count_model, the product reassembled
+    from the emissions and equal to a * b, and the timing identity.
+    Every violation raises ValueError.
     """
     res = from_trace_dict(doc)
-    k = res.config.k
+    cfg = res.config
+    k = cfg.k
+    a, b = res.a.value, res.b.value
     weight = 1 << k
     prev_after = 0
-    product = 0
     for i, r in enumerate(res.trace):
         if r.cycle != i:
             raise ValueError(f"cycle index {r.cycle} at position {i}")
@@ -307,14 +302,24 @@ def verify_trace_dict(doc: dict) -> None:
             raise ValueError(f"cycle {i}: residue chain broken")
         if r.emitted + weight * r.residue_after != r.residue_before + r.pp:
             raise ValueError(f"cycle {i}: conservation violated")
-        product |= r.emitted << (i * k)
+        digit = (b >> (i * k)) & (weight - 1) if i < cfg.digit_cycles else None
+        if r.digit != digit:
+            raise ValueError(f"cycle {i}: digit {r.digit} is not b's chunk {digit}")
+        if (r.odd_core, r.shift) != _odd_shift(digit or 0):
+            raise ValueError(f"cycle {i}: odd_core and shift do not factor the digit")
+        if r.pp != (digit or 0) * a:
+            raise ValueError(f"cycle {i}: pp {r.pp} is not digit * a")
         prev_after = r.residue_after
+    if prev_after:
+        raise ValueError(f"final residue {prev_after} is not empty")
     if res.cycles != len(res.trace):
         raise ValueError(f"cycles field {res.cycles} != {len(res.trace)} records")
-    if product != res.product.value:
+    if assemble_product(res.trace, cfg.n, k) != res.product:
         raise ValueError("product does not match the emitted digits")
-    expected = res.config.load_delay_ns + res.cycles * res.config.clock_period_ns
+    if res.product.value != a * b:
+        raise ValueError(f"product {res.product.value} is not a * b = {a * b}")
+    if res.cycles != cycle_count_model(res.a, res.b, cfg):
+        raise ValueError(f"cycles {res.cycles} disagree with cycle_count_model")
+    expected = cfg.total_time_ns(res.cycles)
     if res.total_time_ns != expected:
-        raise ValueError(
-            f"total_time_ns {res.total_time_ns} != {expected}"
-        )
+        raise ValueError(f"total_time_ns {res.total_time_ns} != {expected}")

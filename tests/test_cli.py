@@ -57,6 +57,17 @@ class TestMul:
                                  "flush_policy": "early_stop"}
         verify_trace_dict(doc)
 
+    def test_trace_is_serialised_only_when_asked(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(cli, "to_trace_json", lambda result: calls.append(result) or "{}")
+        code, out, _ = run(capsys, "mul", "--a", "13", "--b", "63", "--n", "6")
+        assert code == 0 and "product (dec) 819" in out
+        assert calls == []
+        run(capsys, "mul", "--a", "13", "--b", "63", "--n", "6", "--json")
+        run(capsys, "mul", "--a", "13", "--b", "63", "--n", "6",
+            "--trace", str(tmp_path / "trace.json"))
+        assert len(calls) == 2
+
     def test_bad_operand_text(self, capsys):
         code, _, err = run(capsys, "mul", "--a", "zz", "--b", "1")
         assert code == 2

@@ -41,8 +41,9 @@ class TestSimConfig:
             is FlushPolicy.EARLY_STOP
 
     def test_rejects_bad_policy_string(self):
-        with pytest.raises(ConfigError):
-            SimConfig(n=8, flush_policy="sometimes")
+        for bad in ("sometimes", 5):
+            with pytest.raises(ConfigError):
+                SimConfig(n=8, flush_policy=bad)
 
     def test_rejects_k_above_n(self):
         with pytest.raises(ConfigError):
@@ -320,6 +321,55 @@ class TestTraceSerialization:
         doc["product"] = "0x334"
         with pytest.raises(ValueError, match="product"):
             verify_trace_dict(doc)
+
+    @staticmethod
+    def raise_first_pp(doc):
+        # pp of cycle 0 raised by 8, with the residue chain, emissions and
+        # product recomputed so that every conservation law still holds
+        doc["trace"][0]["pp"] = hex(int(doc["trace"][0]["pp"], 16) + 8)
+        k = doc["config"]["k"]
+        before = product = 0
+        for i, row in enumerate(doc["trace"]):
+            total = before + int(row["pp"], 16)
+            emitted = total & ((1 << k) - 1)
+            row["residue_before"] = hex(before)
+            before = total >> k
+            row["emitted"], row["residue_after"] = hex(emitted), hex(before)
+            product |= emitted << (i * k)
+        doc["product"] = hex(product)
+        assert product == 827
+
+    @staticmethod
+    def zero_b(doc):
+        doc["b"] = "0x0"
+
+    @staticmethod
+    def string_shift(doc):
+        doc["trace"][0]["shift"] = "0"
+
+    @pytest.mark.parametrize("tamper,match", [("raise_first_pp", "pp 99"),
+                                              ("zero_b", "digit"),
+                                              ("string_shift", "factor")])
+    def test_verify_checks_the_trace_multiplies_a_by_b(self, tamper, match):
+        doc = to_trace_dict(self.make_result())
+        getattr(self, tamper)(doc)
+        with pytest.raises(ValueError, match=match):
+            verify_trace_dict(doc)
+
+    def test_verify_rejects_an_empty_trace(self):
+        doc = to_trace_dict(self.make_result())
+        doc.update(trace=[], cycles=0, product="0x0", total_time_ns=30.0)
+        with pytest.raises(ValueError, match="no cycles"):
+            verify_trace_dict(doc)
+
+    @pytest.mark.parametrize("policy", list(FlushPolicy))
+    def test_verify_accepts_every_small_trace(self, policy):
+        for k in range(1, 5):
+            for adder_width in (None, 4 + k + 2):
+                cfg = SimConfig(n=4, k=k, adder_width=adder_width, flush_policy=policy)
+                for a in range(16):
+                    for b in range(16):
+                        verify_trace_dict(to_trace_dict(simulate(Word(a, 4), Word(b, 4), cfg)))
 
     def test_malformed_documents_are_value_errors(self):
         empty_record = to_trace_dict(self.make_result())
