@@ -18,8 +18,6 @@ from .word import (
     Word,
     WidthMismatchError,
     WidthOverflowError,
-    add,
-    resize,
     shift_left,
 )
 
@@ -93,21 +91,24 @@ def build_multiple_table(a: Word, k: int) -> MultipleTable:
     Even multiples are shifts of smaller entries and each odd multiple
     is the preceding even one plus A, so for k=3 the order is exactly
     2A = A<<1, 3A = 2A+A, 4A = A<<2, 5A = 4A+A, 6A = 3A<<1, 7A = 6A+A.
-    Only shift_left and add are used; the per-build operation counts
-    are kept on the table so tests can assert no other route was taken.
+    The ladder runs on plain integers with one shift and one add per
+    step, never a multiplication; the per-build operation counts are
+    kept on the table so tests can assert no other route was taken.
+    Each odd multiple is wrapped in a Word of width(A) + k bits once.
     """
     if k < 1:
         raise ValueError(f"digit width must be positive, got {k}")
     width = a.width + k
-    base = resize(a, width)
-    entries = {1: base}
+    base = a.value
+    odd = {1: base}
     adds = shifts = 0
     for m in range(3, 1 << k, 2):
         core, s = _odd_shift(m - 1)
-        even = shift_left(entries[core], s, width)
+        even = odd[core] << s
         shifts += 1
-        entries[m] = add(even, base, width)
+        odd[m] = even + base
         adds += 1
+    entries = {m: Word(v, width) for m, v in odd.items()}
     return MultipleTable(k, width, entries, adds, shifts)
 
 

@@ -210,13 +210,17 @@ def cycle_count_model(a: Word, b: Word, cfg: SimConfig) -> int:
     return d + (-(-extra // cfg.k) if extra > 0 else 0)
 
 
-def to_trace_dict(result: SimResult) -> dict:
-    """JSON document for one run; multi-bit values as 0x-hex strings."""
-    cfg = result.config
+def _config_doc(cfg: SimConfig) -> dict:
+    # the config sub-document: one key per SimConfig field, in field order
     config = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     config["flush_policy"] = cfg.flush_policy.value
+    return config
+
+
+def to_trace_dict(result: SimResult) -> dict:
+    """JSON document for one run; multi-bit values as 0x-hex strings."""
     return {
-        "config": config,
+        "config": _config_doc(result.config),
         "a": hex(result.a.value),
         "b": hex(result.b.value),
         "product": hex(result.product.value),
@@ -238,25 +242,77 @@ def to_trace_dict(result: SimResult) -> dict:
     }
 
 
+def _record_template(flush: bool) -> str:
+    # one trace record laid out as json.dumps(indent=2) lays it out inside
+    # the "trace" list, with a str.format field per CycleRecord position;
+    # the flush template writes the digit as null and ignores position 1
+    lines = []
+    for i, name in enumerate(CycleRecord._fields):
+        if name in ("cycle", "shift"):
+            value = f"{{{i}:d}}"
+        elif name == "digit" and flush:
+            value = "null"
+        else:
+            value = f'"{{{i}:#x}}"'
+        lines.append(f'      "{name}": {value}')
+    return "    {{\n" + ",\n".join(lines) + "\n    }}"
+
+
+_DIGIT_RECORD = _record_template(flush=False).format
+_FLUSH_RECORD = _record_template(flush=True).format
+
+
 def to_trace_json(result: SimResult) -> str:
-    return json.dumps(to_trace_dict(result), indent=2)
+    """The run's JSON document as text.
+
+    The text equals json.dumps(to_trace_dict(result), indent=2), byte for
+    byte, but is written straight from the fixed document layout: one
+    template fill per trace record, and json.dumps only for the config
+    values, cycles and total_time_ns, which fixes the spelling of ints
+    and floats. The dict is never built.
+    """
+    config = ",\n".join(f"    {json.dumps(key)}: {json.dumps(value)}"
+                        for key, value in _config_doc(result.config).items())
+    records = ",\n".join([
+        (_FLUSH_RECORD if r.digit is None else _DIGIT_RECORD)(*r) for r in result.trace
+    ])
+    trace = f"[\n{records}\n  ]" if result.trace else "[]"
+    return (
+        f'{{\n  "config": {{\n{config}\n  }},\n'
+        f'  "a": "{result.a.value:#x}",\n'
+        f'  "b": "{result.b.value:#x}",\n'
+        f'  "product": "{result.product.value:#x}",\n'
+        f'  "cycles": {json.dumps(result.cycles)},\n'
+        f'  "total_time_ns": {json.dumps(result.total_time_ns)},\n'
+        f'  "trace": {trace}\n}}'
+    )
+
+
+def _typed(value, name: str, types: tuple, need: str):
+    # exact type match, so a JSON true is not an int and 4.0 is not a count
+    if type(value) not in types:
+        raise ValueError(f"malformed trace document: {name} is {value!r} "
+                         f"({type(value).__name__}), need {need}")
+    return value
 
 
 def from_trace_dict(doc: dict) -> SimResult:
     """Rebuild a SimResult from its JSON document (inverse of to_trace_dict).
 
     A document with missing keys or wrongly typed values raises
-    ValueError.
+    ValueError; cycle, shift and cycles must be JSON integers (not
+    booleans or floats) and total_time_ns a JSON number.
     """
     try:
         c = doc["config"]
         cfg = SimConfig(**{f.name: c[f.name] for f in fields(SimConfig)})
         trace = [
             CycleRecord(
-                r["cycle"],
+                _typed(r["cycle"], "cycle", (int,), "an int cycle index"),
                 None if r["digit"] is None else int(r["digit"], 16),
                 int(r["odd_core"], 16),
-                r["shift"],
+                _typed(r["shift"], "shift", (int,),
+                       "an int shift that factors the digit"),
                 int(r["pp"], 16),
                 int(r["residue_before"], 16),
                 int(r["residue_after"], 16),
@@ -269,8 +325,9 @@ def from_trace_dict(doc: dict) -> SimResult:
             b=Word(int(doc["b"], 16), cfg.n),
             config=cfg,
             product=Word(int(doc["product"], 16), 2 * cfg.n),
-            cycles=doc["cycles"],
-            total_time_ns=doc["total_time_ns"],
+            cycles=_typed(doc["cycles"], "cycles", (int,), "an int cycle count"),
+            total_time_ns=_typed(doc["total_time_ns"], "total_time_ns", (int, float),
+                                 "an int or a float"),
             trace=trace,
         )
     except (KeyError, TypeError) as exc:

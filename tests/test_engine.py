@@ -1,5 +1,7 @@
 import json
 import math
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +22,8 @@ from radixmul.engine import (
     verify_trace_dict,
 )
 from radixmul.word import Digit, Word
+
+DATA = Path(__file__).parent / "data"
 
 
 def cfg6(policy=FlushPolicy.FULL_WIDTH):
@@ -384,3 +388,92 @@ class TestTraceSerialization:
         doc["total_time_ns"] = 999.0
         with pytest.raises(ValueError, match="total_time_ns"):
             verify_trace_dict(doc)
+
+    @pytest.mark.parametrize("field,value", [("shift", "0"), ("cycle", True)])
+    def test_record_counts_must_be_ints(self, field, value):
+        doc = to_trace_dict(self.make_result())
+        doc["trace"][0][field] = value
+        with pytest.raises(ValueError, match=f"malformed trace document: {field}"):
+            from_trace_dict(doc)
+
+    @pytest.mark.parametrize("field,value", [("cycles", 4.0), ("cycles", True),
+                                             ("total_time_ns", "190.0")])
+    def test_header_numbers_are_typed(self, field, value):
+        doc = to_trace_dict(self.make_result())
+        doc[field] = value
+        for check in (from_trace_dict, verify_trace_dict):
+            with pytest.raises(ValueError, match=f"malformed trace document: {field}"):
+                check(doc)
+
+    def test_int_total_time_loads(self):
+        doc = to_trace_dict(simulate(Word(13, 6), Word(63, 6),
+                                     SimConfig(n=6, clock_period_ns=40, load_delay_ns=30)))
+        assert doc["total_time_ns"] == 190 and type(doc["total_time_ns"]) is int
+        verify_trace_dict(doc)
+
+
+def oracle_json(result):
+    return json.dumps(to_trace_dict(result), indent=2)
+
+
+class TestTraceJsonText:
+    """to_trace_json writes the oracle's text without building the dict."""
+
+    @pytest.mark.parametrize("policy", list(FlushPolicy))
+    def test_every_small_pair(self, policy):
+        for n in range(1, 5):
+            for k in range(1, n + 1):
+                for adder_width in (None, n + k + 2):
+                    cfg = SimConfig(n=n, k=k, adder_width=adder_width,
+                                    flush_policy=policy)
+                    for a in range(1 << n):
+                        for b in range(1 << n):
+                            res = simulate(Word(a, n), Word(b, n), cfg)
+                            assert to_trace_json(res) == oracle_json(res), (cfg, a, b)
+
+    @pytest.mark.parametrize("n,k", [(32, 4), (64, 6)])
+    def test_random_wide(self, n, k):
+        rng = random.Random(n * 100 + k)
+        for policy in FlushPolicy:
+            cfg = SimConfig(n=n, k=k, flush_policy=policy)
+            for _ in range(50):
+                res = simulate(Word(rng.getrandbits(n), n), Word(rng.getrandbits(n), n), cfg)
+                assert to_trace_json(res) == oracle_json(res)
+
+    def test_int_timing(self):
+        cfg = SimConfig(n=8, k=3, clock_period_ns=7, load_delay_ns=0)
+        res = simulate(Word(200, 8), Word(77, 8), cfg)
+        text = to_trace_json(res)
+        assert text == oracle_json(res)
+        assert '"clock_period_ns": 7,' in text and '"total_time_ns": 42,' in text
+
+    def test_empty_trace(self):
+        res = simulate(Word(5, 4), Word(3, 4), SimConfig(n=4))
+        res.trace = []
+        text = to_trace_json(res)
+        assert text == oracle_json(res)
+        assert '"trace": []' in text
+
+    @pytest.mark.parametrize("n,k", [(6, 3), (64, 6)])
+    def test_reserialising_the_parsed_text_gives_it_back(self, n, k):
+        rng = random.Random(n)
+        for policy in FlushPolicy:
+            cfg = SimConfig(n=n, k=k, flush_policy=policy)
+            res = simulate(Word(rng.getrandbits(n), n), Word(rng.getrandbits(n), n), cfg)
+            text = to_trace_json(res)
+            assert to_trace_json(from_trace_dict(json.loads(text))) == text
+
+    # golden files hold `radixmul mul ... --json` output written by the
+    # json.dumps serialiser, so they also catch the emitter and the
+    # oracle drifting together
+    @pytest.mark.parametrize("name,a,b,cfg", [
+        ("mul_13x63_n6_early_stop.json", 13, 63,
+         SimConfig(n=6, flush_policy=FlushPolicy.EARLY_STOP)),
+        ("mul_n64_k6.json", 0xFEDCBA9876543210, 0x0F1E2D3C4B5A6978,
+         SimConfig(n=64, k=6)),
+    ], ids=["13x63_n6_early_stop", "n64_k6"])
+    def test_golden(self, name, a, b, cfg):
+        res = simulate(Word(a, cfg.n), Word(b, cfg.n), cfg)
+        golden = (DATA / name).read_text(encoding="utf-8")
+        assert to_trace_json(res) + "\n" == golden
+        verify_trace_dict(json.loads(golden))
