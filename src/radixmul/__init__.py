@@ -48,12 +48,9 @@ from .word import (
     WidthMismatchError,
     WidthOverflowError,
     Word,
-    add,
     parse_binary,
     parse_uint,
     parse_word,
-    resize,
-    shift_left,
     split_digits,
 )
 
@@ -76,7 +73,6 @@ __all__ = [
     "WidthMismatchError",
     "WidthOverflowError",
     "Word",
-    "add",
     "assemble_product",
     "barrel_shift",
     "build_multiple_table",
@@ -92,9 +88,7 @@ __all__ = [
     "parse_uint",
     "parse_word",
     "rca",
-    "resize",
     "shift_add_multiply",
-    "shift_left",
     "simulate",
     "split_digits",
     "to_trace_dict",

@@ -1,15 +1,15 @@
 """Reference multipliers and side-by-side comparison.
 
 Two independent routes check the digit-serial simulator: the classical
-one-bit-per-cycle shift-and-add multiplier, built from the same word
-primitives, and a native wide-integer oracle. All three must agree on
-every product.
+one-bit-per-cycle shift-and-add multiplier, run on plain ints and
+sharing no code with the datapath (only the product is a Word), and a
+native wide-integer oracle. All three must agree on every product.
 """
 
 from dataclasses import dataclass
 
 from .engine import SimConfig, simulate
-from .word import Word, WidthMismatchError, add, shift_left
+from .word import Word, WidthMismatchError
 
 
 class ProductMismatchError(RuntimeError):
@@ -20,20 +20,22 @@ def shift_add_multiply(a: Word, b: Word) -> tuple[Word, int]:
     """Classical shift-and-add: one cycle per multiplier bit, no flush phase.
 
     Each multiplier bit contributes either a copy of the multiplicand
-    shifted by the bit's index or zero, accumulated as it goes.
+    shifted by the bit's index or zero, accumulated as it goes. The
+    loop runs on plain ints with native addition, sharing no code with
+    the datapath; only the product is a Word, whose constructor checks
+    that it fits 2n bits.
     """
     if a.width != b.width:
         raise WidthMismatchError(
             f"operand widths differ: {a.width}, {b.width}"
         )
     n = a.width
-    out_width = 2 * n
-    zero = Word(0, out_width)
-    acc = zero
+    x, y = a.value, b.value
+    acc = 0
     for i in range(n):
-        pp = shift_left(a, i, out_width) if b.bit(i) else zero
-        acc = add(acc, pp, out_width)
-    return acc, n
+        if (y >> i) & 1:
+            acc += x << i
+    return Word(acc, 2 * n), n
 
 
 def oracle_multiply(a: Word, b: Word) -> Word:

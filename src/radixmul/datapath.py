@@ -13,13 +13,7 @@ builds them.
 
 from typing import NamedTuple
 
-from .word import (
-    Digit,
-    Word,
-    WidthMismatchError,
-    WidthOverflowError,
-    shift_left,
-)
+from .word import Digit, Word, WidthMismatchError, WidthOverflowError
 
 
 class ControlError(ValueError):
@@ -130,7 +124,7 @@ def barrel_shift(w: Word, shift: int, k: int) -> Word:
     """Shift left by up to k-1 positions in a single step, widening to match."""
     if not 0 <= shift < k:
         raise ControlError(f"shift {shift} out of range for {k}-bit digits")
-    return shift_left(w, shift, w.width + k - 1)
+    return Word(w.value << shift, w.width + k - 1)
 
 
 class CsaResult(NamedTuple):

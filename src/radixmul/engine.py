@@ -8,7 +8,6 @@ the remainder feeds back. Once the digits run out, flush cycles with a
 zero partial product drain the residue into the output registers.
 """
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -47,6 +46,14 @@ DEFAULT_DIGIT_BITS = 3
 DEFAULT_CLOCK_PERIOD_NS = 40.0
 DEFAULT_LOAD_DELAY_NS = 30.0
 
+_CONFIG_TYPES = (
+    ("n", (int,), "an int"),
+    ("k", (int,), "an int"),
+    ("adder_width", (int, type(None)), "an int or None"),
+    ("clock_period_ns", (int, float), "an int or a float"),
+    ("load_delay_ns", (int, float), "an int or a float"),
+)
+
 
 @dataclass
 class SimConfig:
@@ -66,6 +73,12 @@ class SimConfig:
     flush_policy: FlushPolicy = FlushPolicy.FULL_WIDTH
 
     def __post_init__(self):
+        # exact types, as _typed checks a trace: True is not a width, 16.0 not a count
+        for name, types, need in _CONFIG_TYPES:
+            value = getattr(self, name)
+            if type(value) not in types:
+                raise ConfigError(f"{name} is {value!r} ({type(value).__name__}), "
+                                  f"need {need}")
         if self.adder_width is None:
             self.adder_width = self.n + 3 * self.k
         try:
@@ -83,6 +96,8 @@ class SimConfig:
             raise ConfigError("clock_period_ns must be positive and finite")
         if not (math.isfinite(self.load_delay_ns) and self.load_delay_ns >= 0):
             raise ConfigError("load_delay_ns must be non-negative and finite")
+        if not math.isfinite(self.total_time_ns(self.full_width_cycles)):
+            raise ConfigError("clock_period_ns is so large that the total time overflows")
 
     @property
     def digit_cycles(self) -> int:
@@ -267,12 +282,14 @@ def to_trace_json(result: SimResult) -> str:
 
     The text equals json.dumps(to_trace_dict(result), indent=2), byte for
     byte, but is written straight from the fixed document layout: one
-    template fill per trace record, and json.dumps only for the config
-    values, cycles and total_time_ns, which fixes the spelling of ints
-    and floats. The dict is never built.
+    template fill per trace record, and repr for the config numbers and
+    total_time_ns, which is what json.dumps writes for an exact finite
+    int or float (SimConfig admits no other). The dict is never built.
     """
-    config = ",\n".join(f"    {json.dumps(key)}: {json.dumps(value)}"
-                        for key, value in _config_doc(result.config).items())
+    config = ",\n".join(
+        f'    "{key}": "{value}"' if isinstance(value, str) else f'    "{key}": {value!r}'
+        for key, value in _config_doc(result.config).items()
+    )
     records = ",\n".join([
         (_FLUSH_RECORD if r.digit is None else _DIGIT_RECORD)(*r) for r in result.trace
     ])
@@ -282,8 +299,8 @@ def to_trace_json(result: SimResult) -> str:
         f'  "a": "{result.a.value:#x}",\n'
         f'  "b": "{result.b.value:#x}",\n'
         f'  "product": "{result.product.value:#x}",\n'
-        f'  "cycles": {json.dumps(result.cycles)},\n'
-        f'  "total_time_ns": {json.dumps(result.total_time_ns)},\n'
+        f'  "cycles": {result.cycles:d},\n'
+        f'  "total_time_ns": {result.total_time_ns!r},\n'
         f'  "trace": {trace}\n}}'
     )
 

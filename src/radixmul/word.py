@@ -4,7 +4,9 @@ Every operand, multiple and residue in the simulator is a Word: an
 unsigned value pinned to an explicit bit width, with bit 0 being the
 rightmost (least significant) bit. Overflow is always a hard error,
 never a silent wraparound, so that sizing bugs in the modeled datapath
-surface immediately instead of being masked.
+surface immediately instead of being masked. The Word and Digit
+constructors hold that check; code that shifts or adds does so on plain
+ints and wraps the result in a new Word, which checks it.
 
 Binary text is printed and parsed MSB-first, matching how humans write
 binary literals; the string is reversed relative to the bit indexing.
@@ -87,39 +89,6 @@ class Digit:
 
     def __repr__(self) -> str:
         return f"Digit(0b{format(self.value, f'0{self.k}b')}, k={self.k})"
-
-
-def resize(w: Word, width: int) -> Word:
-    """Same value at a new width; raises if the value no longer fits."""
-    if width == w.width:
-        return w
-    return Word(w.value, width)
-
-
-def shift_left(w: Word, s: int, out_width: int) -> Word:
-    """Logical left shift: s zeros appear after the rightmost bit.
-
-    The result is placed in an out_width register; overflowing it is a
-    design bug, not a recoverable condition.
-    """
-    if s < 0:
-        raise ValueError(f"shift count must be non-negative, got {s}")
-    v = w.value << s
-    if v >> out_width:
-        raise WidthOverflowError(
-            f"{w.value} << {s} does not fit in {out_width} bits"
-        )
-    return Word(v, out_width)
-
-
-def add(x: Word, y: Word, out_width: int) -> Word:
-    """Exact unsigned sum in an out_width register (reference adder)."""
-    v = x.value + y.value
-    if v >> out_width:
-        raise WidthOverflowError(
-            f"{x.value} + {y.value} does not fit in {out_width} bits"
-        )
-    return Word(v, out_width)
 
 
 def split_digits(b: Word, k: int) -> list[Digit]:

@@ -40,6 +40,30 @@ class TestShiftAddMultiply:
                 assert product.value == a * b
                 assert cycles == 5
 
+    @pytest.mark.parametrize("n", [64, 128, 160])
+    def test_wide_widths(self, n):
+        rng = random.Random(n)
+        ones = (1 << n) - 1
+        pairs = [(ones, ones)] + [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(50)]
+        for a, b in pairs:
+            product, cycles = shift_add_multiply(Word(a, n), Word(b, n))
+            assert product == Word(a * b, 2 * n)
+            assert cycles == n
+
+    def test_builds_only_the_product_word(self, monkeypatch):
+        widths = []
+        init = Word.__init__
+
+        def counting_init(self, value, width):
+            widths.append(width)
+            init(self, value, width)
+
+        a, b = Word(13, 6), Word(63, 6)
+        monkeypatch.setattr(Word, "__init__", counting_init)
+        product, _ = shift_add_multiply(a, b)
+        assert widths == [12]
+        assert product.value == 819
+
 
 class TestOracleMultiply:
     def test_values(self):

@@ -68,6 +68,22 @@ class TestSimConfig:
             with pytest.raises(ConfigError):
                 SimConfig(n=8, load_delay_ns=bad)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n", 16.0), ("n", True), ("n", "16"), ("k", True), ("k", 3.0),
+        ("adder_width", 25.0), ("adder_width", True),
+        ("clock_period_ns", True), ("clock_period_ns", "40"),
+        ("load_delay_ns", False), ("load_delay_ns", None),
+    ])
+    def test_rejects_wrong_field_types(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} is"):
+            SimConfig(**{"n": 16, field: value})
+
+    def test_rejects_a_total_time_that_overflows(self):
+        # every total_time_ns is then finite, which the trace JSON relies on
+        SimConfig(n=6, clock_period_ns=1e307)
+        with pytest.raises(ConfigError, match="overflows"):
+            SimConfig(n=6, clock_period_ns=1e308)
+
 
 class TestWorkedExample:
     """13 x 63 at n=6, k=3: the fully hand-checked trace."""
@@ -405,6 +421,17 @@ class TestTraceSerialization:
             with pytest.raises(ValueError, match=f"malformed trace document: {field}"):
                 check(doc)
 
+    @pytest.mark.parametrize("field,value", [("k", True), ("n", 6.0),
+                                             ("clock_period_ns", True),
+                                             ("load_delay_ns", False)])
+    def test_config_values_are_typed(self, field, value):
+        # at k=1 a JSON true would otherwise act as the digit width 1
+        doc = to_trace_dict(simulate(Word(13, 6), Word(63, 6), SimConfig(n=6, k=1)))
+        doc["config"][field] = value
+        for check in (from_trace_dict, verify_trace_dict):
+            with pytest.raises(ConfigError, match=f"^{field} is"):
+                check(doc)
+
     def test_int_total_time_loads(self):
         doc = to_trace_dict(simulate(Word(13, 6), Word(63, 6),
                                      SimConfig(n=6, clock_period_ns=40, load_delay_ns=30)))
@@ -446,6 +473,13 @@ class TestTraceJsonText:
         text = to_trace_json(res)
         assert text == oracle_json(res)
         assert '"clock_period_ns": 7,' in text and '"total_time_ns": 42,' in text
+
+    @pytest.mark.parametrize("clock,load", [(0.1, 1e-07), (1e16, 3), (12.5, 0.0)])
+    def test_float_timing_spellings(self, clock, load):
+        # exponents, 17-digit floats and a trailing .0 as json.dumps spells them
+        cfg = SimConfig(n=8, k=3, clock_period_ns=clock, load_delay_ns=load)
+        res = simulate(Word(200, 8), Word(77, 8), cfg)
+        assert to_trace_json(res) == oracle_json(res)
 
     def test_empty_trace(self):
         res = simulate(Word(5, 4), Word(3, 4), SimConfig(n=4))

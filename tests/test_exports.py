@@ -1,0 +1,33 @@
+import inspect
+
+import pytest
+
+import radixmul
+from radixmul import baseline, datapath, engine, word
+
+LIBRARY_MODULES = (baseline, datapath, engine, word)
+
+
+def test_every_exported_name_resolves():
+    assert radixmul.__all__ == sorted(set(radixmul.__all__))
+    for name in radixmul.__all__:
+        assert hasattr(radixmul, name), name
+
+
+def test_every_public_definition_is_exported():
+    public = {
+        name
+        for module in LIBRARY_MODULES
+        for name, obj in vars(module).items()
+        if (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__ and not name.startswith("_")
+    }
+    assert public == set(radixmul.__all__)
+
+
+@pytest.mark.parametrize("name", ["resize", "shift_left", "add"])
+def test_word_helpers_are_gone(name):
+    # widths are checked by the Word constructor alone
+    assert name not in radixmul.__all__
+    assert not hasattr(radixmul, name)
+    assert not hasattr(word, name)

@@ -3,15 +3,11 @@ from hypothesis import given, strategies as st
 
 from radixmul.word import (
     Digit,
-    WidthMismatchError,
     WidthOverflowError,
     Word,
-    add,
     parse_binary,
     parse_uint,
     parse_word,
-    resize,
-    shift_left,
     split_digits,
 )
 
@@ -56,6 +52,13 @@ class TestWordConstruction:
         assert w.to_hex() == "0xd"
         assert int(w) == 13
 
+    def test_wide_words_supported(self):
+        # widths well past 128 bits work; Python ints impose no ceiling
+        value = ((1 << 128) - 1) << 12
+        assert Word(value, 140).value == value
+        with pytest.raises(WidthOverflowError):
+            Word(value, 139)
+
 
 class TestDigit:
     def test_in_range(self):
@@ -69,75 +72,6 @@ class TestDigit:
     def test_equality(self):
         assert Digit(5, 3) == Digit(5, 3)
         assert Digit(1, 1) != Digit(1, 2)
-
-
-class TestShiftLeft:
-    def test_by_one(self):
-        assert shift_left(Word(13, 6), 1, 8).value == 26
-
-    def test_by_two(self):
-        assert shift_left(Word(13, 6), 2, 8).value == 52
-
-    def test_identity(self):
-        w = Word(13, 6)
-        assert shift_left(w, 0, 6) == w
-
-    def test_overflow(self):
-        with pytest.raises(WidthOverflowError):
-            shift_left(Word(13, 6), 5, 8)
-
-    def test_negative_shift(self):
-        with pytest.raises(ValueError):
-            shift_left(Word(13, 6), -1, 8)
-
-    @given(st.integers(0, 2**16 - 1), st.integers(0, 8))
-    def test_matches_integer_multiply(self, value, s):
-        out = shift_left(Word(value, 16), s, 24)
-        assert out.value == value * 2**s
-        assert out.width == 24
-
-
-class TestAdd:
-    def test_identity(self):
-        y = Word(37, 8)
-        assert add(Word(0, 8), y, 8).value == 37
-
-    def test_triple_a(self):
-        assert add(Word(26, 8), Word(13, 8), 8).value == 39
-
-    def test_residue_step_value(self):
-        assert add(Word(91, 8), Word(11, 8), 8).value == 102
-
-    def test_overflow(self):
-        with pytest.raises(WidthOverflowError):
-            add(Word(255, 8), Word(1, 8), 8)
-
-    @given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))
-    def test_matches_integer_add(self, x, y):
-        assert add(Word(x, 16), Word(y, 16), 17).value == x + y
-
-    def test_wide_words_supported(self):
-        # widths well past 128 bits work; Python ints impose no ceiling
-        big = (1 << 128) - 1
-        w = Word(big, 128)
-        assert shift_left(w, 8, 140).value == big << 8
-        assert add(w, w, 129).value == 2 * big
-
-
-class TestResize:
-    def test_widen(self):
-        assert resize(Word(13, 6), 9) == Word(13, 9)
-
-    def test_narrow_when_value_fits(self):
-        assert resize(Word(13, 16), 4) == Word(13, 4)
-
-    def test_narrow_overflow(self):
-        with pytest.raises(WidthOverflowError):
-            resize(Word(13, 6), 3)
-
-    def test_same_width_is_same_object(self):
-        w = Word(13, 6)
-        assert resize(w, 6) is w
 
 
 class TestSplitDigits:
