@@ -79,6 +79,21 @@ class MultipleTable:
         return f"MultipleTable(k={self.k}, {{{pairs}}})"
 
 
+def _ladder(base: int, k: int) -> tuple[dict[int, int], int, int]:
+    # the initial adders on plain ints: each odd multiple m of base is the
+    # even multiple m - 1, a shifted smaller entry, plus base; returns the
+    # odd multiples 1..2^k - 1 and the shifts and adds it took
+    odd = {1: base}
+    adds = shifts = 0
+    for m in range(3, 1 << k, 2):
+        core, s = _odd_shift(m - 1)
+        even = odd[core] << s
+        shifts += 1
+        odd[m] = even + base
+        adds += 1
+    return odd, adds, shifts
+
+
 def build_multiple_table(a: Word, k: int) -> MultipleTable:
     """Run the initial-adder ladder over the multiplicand.
 
@@ -93,15 +108,7 @@ def build_multiple_table(a: Word, k: int) -> MultipleTable:
     if k < 1:
         raise ValueError(f"digit width must be positive, got {k}")
     width = a.width + k
-    base = a.value
-    odd = {1: base}
-    adds = shifts = 0
-    for m in range(3, 1 << k, 2):
-        core, s = _odd_shift(m - 1)
-        even = odd[core] << s
-        shifts += 1
-        odd[m] = even + base
-        adds += 1
+    odd, adds, shifts = _ladder(a.value, k)
     entries = {m: Word(v, width) for m, v in odd.items()}
     return MultipleTable(k, width, entries, adds, shifts)
 

@@ -6,6 +6,12 @@ is decomposed into mux and shifter controls, the resulting partial
 product runs through the central adder, k product bits are emitted, and
 the remainder feeds back. Once the digits run out, flush cycles with a
 zero partial product drain the residue into the output registers.
+
+The loop runs the ladder, the digit decode, the mux and the barrel
+shift on plain ints and builds one Word per partial product. The
+Word-level blocks (word.split_digits and datapath's decompose_digit,
+build_multiple_table, mux_select and barrel_shift) are the reference
+that the tests cross-check it against, record by record.
 """
 
 import math
@@ -13,16 +19,8 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
 
-from .datapath import (
-    AdderSizingError,
-    _odd_shift,
-    barrel_shift,
-    build_multiple_table,
-    central_adder_step,
-    decompose_digit,
-    mux_select,
-)
-from .word import Word, split_digits
+from .datapath import AdderSizingError, _ladder, _odd_shift, central_adder_step
+from .word import Word
 
 
 class ConfigError(ValueError):
@@ -61,8 +59,9 @@ class SimConfig:
 
     adder_width defaults to n + 3k (25 input lines for the 16-bit,
     3-bit-digit reference design); it must leave room for residue plus
-    partial product, i.e. at least n + k + 2 bits, because the residue
-    stays below 2^(n+1) in steady state.
+    partial product, i.e. at least n + k + 2 bits. The residue stays
+    below 2^n: if r < 2^n then r + digit * A < 2^(n+k), so the next
+    residue, the sum shifted right by k, is below 2^n again.
     """
 
     n: int
@@ -152,9 +151,14 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
     barrel-shift it into the final partial product, and push it through
     the central adder, which emits the k low bits and feeds the rest
     back. Once the digits run out, flush cycles feed a zero partial
-    product until the flush policy is met. A residue that reaches
-    2^(n+1), the bound that justifies the default adder sizing, raises
-    AdderSizingError.
+    product until the flush policy is met. A residue that reaches 2^n,
+    the bound every valid run keeps, raises AdderSizingError.
+
+    The digit, the mux and the barrel shift work on plain ints over the
+    odd multiples of the initial-adder ladder; each nonzero digit's
+    partial product becomes one Word of n + 2k - 1 bits (the barrel
+    shifter's output width), and digit-0 and flush cycles share one
+    zero Word. Every cycle goes through central_adder_step.
     """
     if a.width != cfg.n or b.width != cfg.n:
         raise ConfigError(
@@ -162,29 +166,33 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
         )
     k = cfg.k
     adder_width = cfg.adder_width
-    table = build_multiple_table(a, k)
-    digits = split_digits(b, k)
+    odd, _, _ = _ladder(a.value, k)
+    pp_width = cfg.n + 2 * k - 1
+    zero = Word(0, pp_width)
+    multiplier = b.value
+    mask = (1 << k) - 1
+    digit_cycles = cfg.digit_cycles
     early_stop = cfg.flush_policy is FlushPolicy.EARLY_STOP
     target = cfg.full_width_cycles
     residue = Word(0, adder_width)
-    residue_bound = 1 << (cfg.n + 1)
+    residue_bound = 1 << cfg.n
     trace: list[CycleRecord] = []
 
     cycle = 0
-    while cycle < len(digits) or (residue.value if early_stop else cycle < target):
-        if cycle < len(digits):
-            digit = digits[cycle]
-            odd_core, shift = decompose_digit(digit)
-            pp = barrel_shift(mux_select(table, odd_core), shift, k)
-            digit_value = digit.value
+    while cycle < digit_cycles or (residue.value if early_stop else cycle < target):
+        if cycle < digit_cycles:
+            digit = multiplier & mask
+            multiplier >>= k
+            odd_core, shift = _odd_shift(digit)
+            pp = Word(odd[odd_core] << shift, pp_width) if digit else zero
         else:
-            digit_value, odd_core, shift, pp = None, 0, 0, table.zero
+            digit, odd_core, shift, pp = None, 0, 0, zero
         before = residue.value
         emitted, residue = central_adder_step(residue, pp, k, adder_width)
         after = residue.value
         if after >= residue_bound:
-            raise AdderSizingError(f"residue {after} breaks the 2^(n+1) bound")
-        trace.append(CycleRecord(cycle, digit_value, odd_core, shift, pp.value,
+            raise AdderSizingError(f"residue {after} breaks the 2^n bound")
+        trace.append(CycleRecord(cycle, digit, odd_core, shift, pp.value,
                                  before, after, emitted.value))
         cycle += 1
 

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from radixmul.datapath import (
     AdderSizingError,
     ControlError,
+    _ladder,
     barrel_shift,
     build_multiple_table,
     central_adder_step,
@@ -78,6 +79,17 @@ class TestMultipleTable:
         table = build_multiple_table(Word(a, 16), k)
         for m, w in table.entries.items():
             assert w.value == m * a
+
+
+class TestLadder:
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("a", [0, 1, 13, 0xB5A3, 0xFFFF])
+    def test_integer_core_matches_table_and_native_multiply(self, a, k):
+        odd, adds, shifts = _ladder(a, k)
+        table = build_multiple_table(Word(a, 16), k)
+        assert odd == {m: w.value for m, w in table.entries.items()}
+        assert odd == {m: m * a for m in range(1, 1 << k, 2)}
+        assert adds == shifts == (1 << (k - 1)) - 1
 
 
 class TestMuxSelect:

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from radixmul import engine
-from radixmul.datapath import AdderSizingError
+from radixmul.datapath import (
+    AdderSizingError,
+    barrel_shift,
+    build_multiple_table,
+    decompose_digit,
+    mux_select,
+)
 from radixmul.engine import (
     ConfigError,
     CycleRecord,
@@ -21,7 +27,7 @@ from radixmul.engine import (
     to_trace_json,
     verify_trace_dict,
 )
-from radixmul.word import Digit, Word
+from radixmul.word import Digit, Word, split_digits
 
 DATA = Path(__file__).parent / "data"
 
@@ -213,6 +219,20 @@ class TestCycleInvariants:
         with pytest.raises(AdderSizingError, match="bound"):
             simulate(Word(1, 4), Word(1, 4), cfg)
 
+    @pytest.mark.parametrize("offset,raises", [(-1, False), (0, True)])
+    def test_residue_bound_is_two_to_the_n(self, monkeypatch, offset, raises):
+        cfg = SimConfig(n=4, k=2)
+
+        def step(residue, pp, k, adder_width):
+            return Digit(0, k), Word((1 << cfg.n) + offset, adder_width)
+
+        monkeypatch.setattr(engine, "central_adder_step", step)
+        if raises:
+            with pytest.raises(AdderSizingError, match="bound"):
+                simulate(Word(1, 4), Word(1, 4), cfg)
+        else:
+            assert simulate(Word(1, 4), Word(1, 4), cfg).cycles == cfg.full_width_cycles
+
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 8)
                                      for k in range(1, n + 1)])
     @given(st.integers(0, 127), st.integers(0, 127),
@@ -231,6 +251,69 @@ class TestCycleInvariants:
         for b in [0, 1, 0x8000, 0xFFFF, 0x1234]:
             res = simulate(Word(3, 16), Word(b, 16), SimConfig(n=16))
             assert res.digit_cycles == 6
+
+
+def assert_decode_matches_reference(res, table):
+    # every record's digit, controls and partial product as the Word-level
+    # blocks produce them; flush records carry no digit and the zero line
+    k = res.config.k
+    digits = [d.value for d in split_digits(res.b, k)]
+    assert [r.digit for r in res.trace] == \
+        digits + [None] * (len(res.trace) - len(digits))
+    for r in res.trace:
+        if r.digit is not None:
+            assert tuple(decompose_digit(Digit(r.digit, k))) == (r.odd_core, r.shift)
+        else:
+            assert (r.odd_core, r.shift) == (0, 0)
+        assert barrel_shift(mux_select(table, r.odd_core), r.shift, k).value == r.pp
+
+
+class TestDecodeMatchesReferenceBlocks:
+    @pytest.mark.parametrize("policy", list(FlushPolicy))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_small_pair(self, n, policy):
+        for k in range(1, n + 1):
+            cfg = SimConfig(n=n, k=k, flush_policy=policy)
+            for a in range(1 << n):
+                wa = Word(a, n)
+                table = build_multiple_table(wa, k)
+                for b in range(1 << n):
+                    assert_decode_matches_reference(simulate(wa, Word(b, n), cfg), table)
+
+    @pytest.mark.parametrize("policy", list(FlushPolicy))
+    @pytest.mark.parametrize("n,k", [(16, 3), (16, 8), (64, 6)])
+    def test_random_pairs(self, n, k, policy):
+        rng = random.Random(n * 100 + k)
+        cfg = SimConfig(n=n, k=k, flush_policy=policy)
+        pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(300)]
+        for a, b in pairs + [((1 << n) - 1, (1 << n) - 1)]:
+            wa = Word(a, n)
+            res = simulate(wa, Word(b, n), cfg)
+            assert_decode_matches_reference(res, build_multiple_table(wa, k))
+            assert res.product.value == a * b
+
+    def test_allocation_budget(self, monkeypatch):
+        # all-ones n=16 k=3: 6 partial products, 11 residues, the initial
+        # residue, the zero line and the product; one Digit per cycle
+        built = {Word: 0, Digit: 0}
+
+        def count(cls):
+            init = cls.__init__
+
+            def counting_init(self, value, width):
+                built[cls] += 1
+                init(self, value, width)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+
+        a = b = Word(0xFFFF, 16)
+        cfg = SimConfig(n=16)
+        count(Word)
+        count(Digit)
+        res = simulate(a, b, cfg)
+        assert res.cycles == 11 and res.product.value == 0xFFFF * 0xFFFF
+        assert built[Word] <= 20
+        assert built[Digit] == 11
 
 
 class TestCycleCountModel:
