@@ -98,9 +98,7 @@ def _cmd_verify(args) -> int:
     n = cfg.n
     if args.exhaustive:
         if n > EXHAUSTIVE_MAX_N:
-            print(f"error: --exhaustive is limited to n <= {EXHAUSTIVE_MAX_N}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"--exhaustive is limited to n <= {EXHAUSTIVE_MAX_N}")
         mode = "exhaustive"
         seed = None
         size = 1 << n

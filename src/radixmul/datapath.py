@@ -156,20 +156,15 @@ def _ripple(x: int, y: int, carry_in: int) -> int:
 
 
 def _central_step(residue: int, pp: int, k: int, adder_width: int) -> tuple[int, int]:
-    # one central-adder cycle on plain integers: (emitted bits, next residue)
-    if (residue | pp) >> adder_width:
-        raise AdderSizingError(
-            f"value {max(residue, pp)} does not fit in {adder_width} bits"
-        )
+    # one central-adder cycle on plain integers: (emitted bits, next residue);
+    # the one sizing rule is residue + pp < 2^adder_width, which also covers
+    # an operand that does not fit and a CSA carry that overflows
     s, c = _csa(residue, pp, 0)
-    if c >> (adder_width - 1):
-        raise AdderSizingError(
-            f"carry word overflows the {adder_width}-bit adder"
-        )
     total = _ripple(s, c << 1, 0)
     if total >> adder_width:
         raise AdderSizingError(
-            f"residue + partial product overflows the {adder_width}-bit adder"
+            f"residue {residue} + partial product {pp} overflows "
+            f"the {adder_width}-bit adder"
         )
     return total & ((1 << k) - 1), total >> k
 
@@ -212,8 +207,10 @@ def central_adder_step(residue: Word, pp: Word, k: int,
     The fed-back residue and the cycle's partial product go through the
     CSA stage, the RCA resolves sum and carry into one word, the k low
     bits are emitted to the output registers, and the remaining high
-    bits become the next residue. Any overflow of the adder width is a
-    sizing error: the modeled adder has too few input lines.
+    bits become the next residue. The one sizing rule: AdderSizingError
+    is raised exactly when residue + pp >= 2^adder_width, i.e. the
+    modeled adder has too few input lines for the sum. An operand wider
+    than the adder, or a CSA carry that overflows it, implies that.
     """
     emitted, rest = _central_step(residue.value, pp.value, k, adder_width)
     return Digit(emitted, k), Word(rest, adder_width)

@@ -363,9 +363,10 @@ def verify_trace_dict(doc: dict) -> None:
     """Re-check a serialized trace's invariants, raising on the first violation.
 
     Per cycle: the cycle index, residue chaining, conservation
-    (emitted + 2^k * residue_after equals residue_before + pp), the digit
-    against b's k-bit chunk (None on flush cycles), odd_core and shift
-    as the digit's factoring, and pp == digit * a by native
+    (emitted + 2^k * residue_after equals residue_before + pp), emitted
+    below 2^k (with conservation, this fixes emitted and residue_after),
+    the digit against b's k-bit chunk (None on flush cycles), odd_core
+    and shift as the digit's factoring, and pp == digit * a by native
     multiplication. Then: an empty final residue, the cycle count
     against the records and cycle_count_model, the product reassembled
     from the emissions and equal to a * b, and the timing identity.
@@ -384,6 +385,8 @@ def verify_trace_dict(doc: dict) -> None:
             raise ValueError(f"cycle {i}: residue chain broken")
         if r.emitted + weight * r.residue_after != r.residue_before + r.pp:
             raise ValueError(f"cycle {i}: conservation violated")
+        if not 0 <= r.emitted < weight:
+            raise ValueError(f"cycle {i}: emitted {r.emitted} is not a {k}-bit value")
         digit = (b >> (i * k)) & (weight - 1) if i < cfg.digit_cycles else None
         if r.digit != digit:
             raise ValueError(f"cycle {i}: digit {r.digit} is not b's chunk {digit}")

@@ -237,3 +237,22 @@ class TestCentralAdderStep:
         emitted, new_residue = central_adder_step(
             Word(residue, 25), Word(pp, 25), k, 25)
         assert emitted.value + (new_residue.value << k) == residue + pp
+
+    @pytest.mark.parametrize("w", range(1, 6))
+    def test_raises_exactly_when_the_sum_overflows(self, w):
+        # every operand below 2^(w+2), so also operands wider than the adder
+        span = 1 << (w + 2)
+        for k in range(1, w + 1):
+            for residue in range(span):
+                r = Word(residue, w + 2)
+                for pp in range(span):
+                    if residue + pp >= 1 << w:
+                        with pytest.raises(AdderSizingError):
+                            central_adder_step(r, Word(pp, w + 2), k, w)
+                    else:
+                        emitted, rest = central_adder_step(r, Word(pp, w + 2), k, w)
+                        assert emitted.value + (rest.value << k) == residue + pp
+
+    def test_sizing_message_names_the_operands_and_width(self):
+        with pytest.raises(AdderSizingError, match="residue 9 .* partial product 7 .* 4-bit"):
+            central_adder_step(Word(9, 4), Word(7, 4), 2, 4)

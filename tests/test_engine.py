@@ -63,6 +63,10 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig(n=16, k=3, adder_width=20)
 
+    def test_undersized_adder_message_names_the_minimum(self):
+        with pytest.raises(ConfigError, match="below minimum 21 "):
+            SimConfig(n=16, k=3, adder_width=20)
+
     def test_rejects_bad_timing(self):
         with pytest.raises(ConfigError):
             SimConfig(n=8, clock_period_ns=0)
@@ -206,7 +210,7 @@ class TestCycleInvariants:
         for r in res.trace:
             assert r.residue_before == prev
             assert r.emitted + (r.residue_after << cfg.k) == r.residue_before + r.pp
-            assert r.residue_after < 1 << 17
+            assert r.residue_after < 1 << 16
             prev = r.residue_after
 
     def test_residue_bound_is_a_typed_error(self, monkeypatch):
@@ -457,6 +461,19 @@ class TestTraceSerialization:
         doc = to_trace_dict(self.make_result())
         getattr(self, tamper)(doc)
         with pytest.raises(ValueError, match=match):
+            verify_trace_dict(doc)
+
+    def test_verify_rejects_an_emission_wider_than_k_bits(self):
+        # the real 2 x 4 trace emits (0, residue 1) then (1, residue 0); the
+        # forgery emits all 4 product bits at once, which keeps conservation,
+        # the chain, the reassembled product and the cycle count intact
+        doc = to_trace_dict(simulate(Word(2, 6), Word(4, 6), cfg6(FlushPolicy.EARLY_STOP)))
+        first, second = doc["trace"]
+        assert (first["emitted"], first["residue_after"]) == ("0x0", "0x1")
+        assert (second["emitted"], second["residue_after"]) == ("0x1", "0x0")
+        first.update(emitted="0x8", residue_after="0x0")
+        second.update(residue_before="0x0", emitted="0x0")
+        with pytest.raises(ValueError, match="emitted 8 is not a 3-bit value"):
             verify_trace_dict(doc)
 
     def test_verify_rejects_an_empty_trace(self):
