@@ -6,7 +6,7 @@ sharing no code with the datapath (only the product is a Word), and a
 native wide-integer oracle. All three must agree on every product.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .engine import SimConfig, simulate
 from .word import Word, WidthMismatchError
@@ -61,15 +61,10 @@ class ComparisonReport:
     speedup: float
 
     def to_dict(self) -> dict:
-        return {
-            "a": hex(self.a.value),
-            "b": hex(self.b.value),
-            "product": hex(self.product.value),
-            "baseline_cycles": self.baseline_cycles,
-            "reformed_cycles": self.reformed_cycles,
-            "reformed_digit_cycles": self.reformed_digit_cycles,
-            "speedup": self.speedup,
-        }
+        """One key per field, in field order; each Word as 0x-hex."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: hex(v.value) if isinstance(v, Word) else v
+                for name, v in values.items()}
 
 
 def compare(a: Word, b: Word, cfg: SimConfig) -> ComparisonReport:

@@ -10,18 +10,10 @@ import json
 import os
 import random
 import sys
+from dataclasses import fields
 
 from .baseline import ProductMismatchError, compare
-from .engine import (
-    DEFAULT_CLOCK_PERIOD_NS,
-    DEFAULT_DIGIT_BITS,
-    DEFAULT_LOAD_DELAY_NS,
-    FlushPolicy,
-    SimConfig,
-    cycle_count_model,
-    simulate,
-    to_trace_json,
-)
+from .engine import FlushPolicy, SimConfig, cycle_count_model, simulate, to_trace_json
 from .word import Word, parse_word
 
 EXIT_OK = 0
@@ -35,30 +27,26 @@ DEFAULT_OPERAND_BITS = 16
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
+    # one flag per SimConfig field, dest the field's name; an unset flag
+    # stays None and SimConfig supplies the default the help text quotes
     p.add_argument("--n", type=int, default=DEFAULT_OPERAND_BITS,
-                   help="operand width in bits (default 16)")
-    p.add_argument("--k", type=int, default=DEFAULT_DIGIT_BITS,
-                   help="multiplier digit width in bits (default 3)")
-    p.add_argument("--adder-width", type=int, default=None,
+                   help=f"operand width in bits (default {DEFAULT_OPERAND_BITS})")
+    p.add_argument("--k", type=int,
+                   help=f"multiplier digit width in bits (default {SimConfig.k})")
+    p.add_argument("--adder-width", type=int,
                    help="central adder input lines (default n + 3k)")
-    p.add_argument("--clock-ns", type=float, default=DEFAULT_CLOCK_PERIOD_NS,
-                   help="clock period in ns (default 40)")
-    p.add_argument("--load-ns", type=float, default=DEFAULT_LOAD_DELAY_NS,
-                   help="multiplier load delay in ns (default 30)")
-    p.add_argument("--flush", choices=[f.value for f in FlushPolicy],
-                   default=FlushPolicy.FULL_WIDTH.value,
-                   help="flush policy after the digits run out (default full_width)")
+    p.add_argument("--clock-ns", dest="clock_period_ns", metavar="CLOCK_NS", type=float,
+                   help=f"clock period in ns (default {SimConfig.clock_period_ns:g})")
+    p.add_argument("--load-ns", dest="load_delay_ns", metavar="LOAD_NS", type=float,
+                   help=f"multiplier load delay in ns (default {SimConfig.load_delay_ns:g})")
+    p.add_argument("--flush", dest="flush_policy", choices=[f.value for f in FlushPolicy],
+                   help="flush policy after the digits run out "
+                        f"(default {SimConfig.flush_policy.value})")
 
 
 def _config_from_args(args) -> SimConfig:
-    return SimConfig(
-        n=args.n,
-        k=args.k,
-        adder_width=args.adder_width,
-        clock_period_ns=args.clock_ns,
-        load_delay_ns=args.load_ns,
-        flush_policy=args.flush,
-    )
+    return SimConfig(**{f.name: getattr(args, f.name) for f in fields(SimConfig)
+                        if getattr(args, f.name) is not None})
 
 
 def _resolve_seed(flag_value: int | None) -> int:
@@ -155,8 +143,10 @@ def _parse_k_range(text: str, n: int) -> range:
 
 
 def _cmd_sweep(args) -> int:
-    ks = _parse_k_range(args.k, args.n)
     n = args.n
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    ks = _parse_k_range(args.k, n)
     all_ones = Word((1 << n) - 1, n)
     rows = []
     for k in ks:
@@ -173,14 +163,10 @@ def _cmd_sweep(args) -> int:
     if args.json:
         print(json.dumps(rows))
     else:
-        header = (" k  digit_cycles  cycles_full_width  "
-                  "cycles_early_stop_max  adder_width  table_size")
-        print(header)
+        widths = {name: max(2, len(name)) for name in rows[0]}
+        print("  ".join(f"{name:>{w}}" for name, w in widths.items()))
         for row in rows:
-            print(f"{row['k']:2d}  {row['digit_cycles']:12d}  "
-                  f"{row['cycles_full_width']:17d}  "
-                  f"{row['cycles_early_stop_max']:21d}  "
-                  f"{row['adder_width']:11d}  {row['table_size']:10d}")
+            print("  ".join(f"{row[name]:{w}d}" for name, w in widths.items()))
     return EXIT_OK
 
 
@@ -235,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="cycle counts and table sizes across digit widths")
     p_sweep.add_argument("--n", type=int, default=DEFAULT_OPERAND_BITS,
-                         help="operand width in bits (default 16)")
-    p_sweep.add_argument("--k", default=str(DEFAULT_DIGIT_BITS),
+                         help=f"operand width in bits (default {DEFAULT_OPERAND_BITS})")
+    p_sweep.add_argument("--k", default=str(SimConfig.k),
                          help="digit width or range, e.g. 3 or 1..4")
     p_sweep.add_argument("--json", action="store_true", help="machine-readable rows")
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -40,10 +40,6 @@ class FlushPolicy(Enum):
     EARLY_STOP = "early_stop"
 
 
-DEFAULT_DIGIT_BITS = 3
-DEFAULT_CLOCK_PERIOD_NS = 40.0
-DEFAULT_LOAD_DELAY_NS = 30.0
-
 _CONFIG_TYPES = (
     ("n", (int,), "an int"),
     ("k", (int,), "an int"),
@@ -57,18 +53,22 @@ _CONFIG_TYPES = (
 class SimConfig:
     """Datapath geometry and timing parameters.
 
-    adder_width defaults to n + 3k (25 input lines for the 16-bit,
-    3-bit-digit reference design); it must leave room for residue plus
-    partial product, i.e. at least n + k + 2 bits. The residue stays
-    below 2^n: if r < 2^n then r + digit * A < 2^(n+k), so the next
-    residue, the sum shifted right by k, is below 2^n again.
+    The fields and their defaults are the configuration's one
+    description: the CLI takes its flag destinations and help-text
+    defaults from them, and the trace document's config block has one
+    key per field. adder_width defaults to n + 3k (25 input lines for
+    the 16-bit, 3-bit-digit reference design). The residue stays below
+    2^n: if r < 2^n then r + digit * A < 2^(n+k), so the next residue,
+    the sum shifted right by k, is below 2^n again, and n + k lines hold
+    every sum. The enforced floor is still n + k + 2 lines, two above
+    what that proof needs.
     """
 
     n: int
-    k: int = DEFAULT_DIGIT_BITS
+    k: int = 3
     adder_width: int | None = None
-    clock_period_ns: float = DEFAULT_CLOCK_PERIOD_NS
-    load_delay_ns: float = DEFAULT_LOAD_DELAY_NS
+    clock_period_ns: float = 40.0
+    load_delay_ns: float = 30.0
     flush_policy: FlushPolicy = FlushPolicy.FULL_WIDTH
 
     def __post_init__(self):
@@ -91,12 +91,17 @@ class SimConfig:
                 f"adder_width {self.adder_width} below minimum "
                 f"{self.n + self.k + 2} for n={self.n} k={self.k}"
             )
-        if not (math.isfinite(self.clock_period_ns) and self.clock_period_ns > 0):
-            raise ConfigError("clock_period_ns must be positive and finite")
-        if not (math.isfinite(self.load_delay_ns) and self.load_delay_ns >= 0):
-            raise ConfigError("load_delay_ns must be non-negative and finite")
-        if not math.isfinite(self.total_time_ns(self.full_width_cycles)):
-            raise ConfigError("clock_period_ns is so large that the total time overflows")
+        try:
+            if not (math.isfinite(self.clock_period_ns) and self.clock_period_ns > 0):
+                raise ConfigError("clock_period_ns must be positive and finite")
+            if not (math.isfinite(self.load_delay_ns) and self.load_delay_ns >= 0):
+                raise ConfigError("load_delay_ns must be non-negative and finite")
+            if not math.isfinite(self.total_time_ns(self.full_width_cycles)):
+                raise ConfigError("clock_period_ns is so large that the total time overflows")
+        except OverflowError:
+            # an int timing, or the total time, too large to convert to a float
+            raise ConfigError("clock_period_ns or load_delay_ns overflows a float, "
+                              "alone or in the total time") from None
 
     @property
     def digit_cycles(self) -> int:

@@ -199,6 +199,13 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--n", "32", "--k", "9")
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_is_blamed_on_n(self, capsys, n):
+        code, out, err = run(capsys, "sweep", "--n", n, "--k", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: n must be at least 1, got {n}\n"
+
 
 class TestCompare:
     def test_worked_example(self, capsys):

@@ -94,6 +94,17 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match="overflows"):
             SimConfig(n=6, clock_period_ns=1e308)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n": 4, "clock_period_ns": 10**400},
+        {"n": 4, "load_delay_ns": 10**400},
+        {"n": 1, "k": 1, "clock_period_ns": 10**308},
+    ], ids=["clock", "load", "total"])
+    def test_an_int_timing_that_overflows_a_float_is_a_config_error(self, kwargs):
+        # the first two do not convert to a float; the third does, but
+        # 30.0 + 2 * 10**308 does not
+        with pytest.raises(ConfigError, match="overflows a float"):
+            SimConfig(**kwargs)
+
 
 class TestWorkedExample:
     """13 x 63 at n=6, k=3: the fully hand-checked trace."""
@@ -537,6 +548,16 @@ class TestTraceSerialization:
                                      SimConfig(n=6, clock_period_ns=40, load_delay_ns=30)))
         assert doc["total_time_ns"] == 190 and type(doc["total_time_ns"]) is int
         verify_trace_dict(doc)
+
+    def test_a_load_delay_too_large_for_a_float_is_a_config_error(self):
+        text = (DATA / "mul_13x63_n6_early_stop.json").read_text(encoding="utf-8")
+        assert '"load_delay_ns": 30.0' in text
+        doc = json.loads(text.replace('"load_delay_ns": 30.0',
+                                      '"load_delay_ns": 1' + "0" * 399))
+        assert len(str(doc["config"]["load_delay_ns"])) == 400
+        for check in (from_trace_dict, verify_trace_dict):
+            with pytest.raises(ConfigError, match="overflows a float"):
+                check(doc)
 
 
 def oracle_json(result):

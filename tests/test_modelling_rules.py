@@ -1,0 +1,50 @@
+"""The datapath's modelling rules, checked on its source.
+
+The ladder builds multiples by shifting and adding, never by
+multiplying, and the CSA and the RCA ripple use only boolean
+operations. The value tests pass either way, so these read the syntax
+tree of datapath.py: no arithmetic operator beyond + and - anywhere in
+the module, and not even those in _csa and _ripple.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from radixmul import datapath
+
+TREE = ast.parse(Path(datapath.__file__).read_text(encoding="utf-8"))
+
+MULTIPLICATIVE = (ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow, ast.MatMult)
+ADDITIVE = (ast.Add, ast.Sub, ast.UAdd, ast.USub)
+
+
+def operators(tree: ast.AST, kinds: tuple) -> list[str]:
+    # every binary, augmented or unary operator of the given kinds, with its line
+    return [
+        f"line {node.lineno}: {type(node.op).__name__}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign, ast.UnaryOp))
+        and isinstance(node.op, kinds)
+    ]
+
+
+def function(name: str) -> ast.FunctionDef:
+    return next(node for node in ast.walk(TREE)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_datapath_never_multiplies_or_divides():
+    assert operators(TREE, MULTIPLICATIVE) == []
+
+
+@pytest.mark.parametrize("name", ["_csa", "_ripple"])
+def test_csa_and_ripple_use_only_boolean_operations(name):
+    assert operators(function(name), ADDITIVE) == []
+
+
+def test_the_check_sees_augmented_and_nested_operators():
+    tree = ast.parse("def f(x):\n    x *= 2\n    return g(x @ y, -x + 1)\n")
+    assert operators(tree, MULTIPLICATIVE) == ["line 2: Mult", "line 3: MatMult"]
+    assert sorted(operators(tree, ADDITIVE)) == ["line 3: Add", "line 3: USub"]
