@@ -11,6 +11,14 @@ from dataclasses import dataclass, fields
 from .engine import SimConfig, simulate
 from .word import Word, WidthMismatchError
 
+__all__ = [
+    "ComparisonReport",
+    "ProductMismatchError",
+    "compare",
+    "oracle_multiply",
+    "shift_add_multiply",
+]
+
 
 class ProductMismatchError(RuntimeError):
     """Two multiplier routes disagreed; a correctness bug, not an input error."""

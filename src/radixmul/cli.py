@@ -131,11 +131,14 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_k_range(text: str, n: int) -> range:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    try:
+        if ".." in text:
+            lo_text, hi_text = text.split("..", 1)
+            lo, hi = int(lo_text), int(hi_text)
+        else:
+            lo = hi = int(text)
+    except ValueError:
+        raise ValueError(f"k range must be K or LO..HI, got {text!r}") from None
     cap = min(8, n)
     if not 1 <= lo <= hi <= cap:
         raise ValueError(f"k range must lie within 1..{cap}, got {text!r}")

@@ -15,6 +15,21 @@ from typing import NamedTuple
 
 from .word import Digit, Word, WidthMismatchError, WidthOverflowError
 
+__all__ = [
+    "AdderSizingError",
+    "ControlError",
+    "CsaResult",
+    "DigitDecomposition",
+    "MultipleTable",
+    "barrel_shift",
+    "build_multiple_table",
+    "central_adder_step",
+    "csa",
+    "decompose_digit",
+    "mux_select",
+    "rca",
+]
+
 
 class ControlError(ValueError):
     """Mux or shifter control inputs that no digit can legally produce."""

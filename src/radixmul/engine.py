@@ -22,6 +22,21 @@ from typing import NamedTuple
 from .datapath import AdderSizingError, _ladder, _odd_shift, central_adder_step
 from .word import Word
 
+__all__ = [
+    "ConfigError",
+    "CycleRecord",
+    "FlushPolicy",
+    "SimConfig",
+    "SimResult",
+    "assemble_product",
+    "cycle_count_model",
+    "from_trace_dict",
+    "simulate",
+    "to_trace_dict",
+    "to_trace_json",
+    "verify_trace_dict",
+]
+
 
 class ConfigError(ValueError):
     """A simulation configuration the datapath cannot support."""
@@ -84,7 +99,7 @@ class SimConfig:
             self.flush_policy = FlushPolicy(self.flush_policy)
         except ValueError:
             raise ConfigError(f"unknown flush policy {self.flush_policy!r}") from None
-        if self.n < 1 or not 1 <= self.k <= self.n:
+        if not 1 <= self.k <= self.n:
             raise ConfigError(f"need 1 <= k <= n, got n={self.n} k={self.k}")
         if self.adder_width < self.n + self.k + 2:
             raise ConfigError(
@@ -227,15 +242,13 @@ def cycle_count_model(a: Word, b: Word, cfg: SimConfig) -> int:
     """Closed-form cycle count that the simulation must reproduce.
 
     FULL_WIDTH needs every emission slot for 2n product bits; EARLY_STOP
-    needs the digit cycles plus however many k-bit chunks of product
-    remain above the bits already emitted.
+    needs the digit cycles, or one cycle per k-bit chunk of the product
+    if that is more.
     """
     if cfg.flush_policy is FlushPolicy.FULL_WIDTH:
         return cfg.full_width_cycles
-    d = cfg.digit_cycles
     product_bits = (a.value * b.value).bit_length()
-    extra = product_bits - cfg.k * d
-    return d + (-(-extra // cfg.k) if extra > 0 else 0)
+    return max(cfg.digit_cycles, -(-product_bits // cfg.k))
 
 
 def _config_doc(cfg: SimConfig) -> dict:

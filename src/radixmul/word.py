@@ -12,6 +12,17 @@ Binary text is printed and parsed MSB-first, matching how humans write
 binary literals; the string is reversed relative to the bit indexing.
 """
 
+__all__ = [
+    "Digit",
+    "WidthMismatchError",
+    "WidthOverflowError",
+    "Word",
+    "parse_binary",
+    "parse_uint",
+    "parse_word",
+    "split_digits",
+]
+
 
 class WidthOverflowError(ValueError):
     """A value does not fit the declared bit width."""

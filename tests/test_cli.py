@@ -199,6 +199,13 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--n", "32", "--k", "9")
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["1..", "..3", "x"])
+    def test_unparsable_k_names_the_range(self, capsys, text):
+        code, out, err = run(capsys, "sweep", "--n", "16", "--k", text)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: k range must be K or LO..HI, got {text!r}\n"
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_n_below_one_is_blamed_on_n(self, capsys, n):
         code, out, err = run(capsys, "sweep", "--n", n, "--k", "1")

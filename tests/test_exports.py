@@ -25,6 +25,28 @@ def test_every_public_definition_is_exported():
     assert public == set(radixmul.__all__)
 
 
+@pytest.mark.parametrize("module", LIBRARY_MODULES, ids=lambda m: m.__name__)
+def test_each_module_lists_its_public_definitions(module):
+    # a new public function or class fails here, in its own module
+    public = sorted(
+        name
+        for name, obj in vars(module).items()
+        if (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__ and not name.startswith("_")
+    )
+    assert module.__all__ == public
+
+
+def test_star_import_binds_exactly_the_exports():
+    ns = {}
+    exec("from radixmul import *", ns)
+    del ns["__builtins__"]
+    assert sorted(ns) == radixmul.__all__
+    defining = {name: module for module in LIBRARY_MODULES for name in module.__all__}
+    for name, obj in ns.items():
+        assert obj is getattr(defining[name], name), name
+
+
 @pytest.mark.parametrize("name", ["resize", "shift_left", "add"])
 def test_word_helpers_are_gone(name):
     # widths are checked by the Word constructor alone

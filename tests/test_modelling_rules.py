@@ -4,7 +4,9 @@ The ladder builds multiples by shifting and adding, never by
 multiplying, and the CSA and the RCA ripple use only boolean
 operations. The value tests pass either way, so these read the syntax
 tree of datapath.py: no arithmetic operator beyond + and - anywhere in
-the module, and not even those in _csa and _ripple.
+the module, and not even those in _csa and _ripple. Invariants raise
+typed errors, so no library module may hold an assert, which python -O
+strips.
 """
 
 import ast
@@ -12,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
+import radixmul
 from radixmul import datapath
 
+LIBRARY_SOURCES = sorted(Path(radixmul.__file__).parent.glob("*.py"))
 TREE = ast.parse(Path(datapath.__file__).read_text(encoding="utf-8"))
 
 MULTIPLICATIVE = (ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow, ast.MatMult)
@@ -48,3 +52,17 @@ def test_the_check_sees_augmented_and_nested_operators():
     tree = ast.parse("def f(x):\n    x *= 2\n    return g(x @ y, -x + 1)\n")
     assert operators(tree, MULTIPLICATIVE) == ["line 2: Mult", "line 3: MatMult"]
     assert sorted(operators(tree, ADDITIVE)) == ["line 3: Add", "line 3: USub"]
+
+
+def asserts(tree: ast.AST) -> list[int]:
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", LIBRARY_SOURCES, ids=lambda path: path.name)
+def test_library_holds_no_assert(path):
+    assert asserts(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_assert_check_sees_nested_asserts():
+    tree = ast.parse("def f(x):\n    if x:\n        assert x > 0, x\n")
+    assert asserts(tree) == [3]
