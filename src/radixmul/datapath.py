@@ -2,7 +2,8 @@
 
 Covers the initial-adder ladder that precomputes odd multiples of the
 multiplicand, the digit decomposition that drives the multiplexer and
-barrel-shifter controls, the 3:2 carry-save compression, the
+barrel-shifter controls (held, as a decoder holds it, in one fixed
+table per digit width), the 3:2 carry-save compression, the
 ripple-carry completion, and the composed central-adder step that
 emits k product bits per cycle and feeds the rest back.
 
@@ -11,6 +12,7 @@ come only from shifting and adding, exactly as the modeled circuit
 builds them.
 """
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .word import Digit, Word, WidthMismatchError, WidthOverflowError
@@ -60,6 +62,15 @@ def _odd_shift(value: int) -> tuple[int, int]:
     return value >> shift, shift
 
 
+@lru_cache(maxsize=8)
+def _controls(k: int) -> tuple[tuple[int, int], ...]:
+    # the decoder's fixed control table for k-bit digits: entry d is d's
+    # (mux selection, shifter count), so d == core << shift as _odd_shift
+    # factors it; built once per k and shared by the ladder's wiring, the
+    # digit decode and the trace checker
+    return tuple(_odd_shift(d) for d in range(1 << k))
+
+
 def decompose_digit(d: Digit) -> DigitDecomposition:
     """Split a digit into its odd core and trailing-zero shift count."""
     core, shift = _odd_shift(d.value)
@@ -96,17 +107,16 @@ class MultipleTable:
 
 def _ladder(base: int, k: int) -> tuple[dict[int, int], int, int]:
     # the initial adders on plain ints: each odd multiple m of base is the
-    # even multiple m - 1, a shifted smaller entry, plus base; returns the
-    # odd multiples 1..2^k - 1 and the shifts and adds it took
+    # even multiple m - 1, a smaller odd entry shifted as the control table
+    # wires it, plus base; returns the odd multiples 1..2^k - 1 and the
+    # shifts and adds it took
+    controls = _controls(k)
     odd = {1: base}
-    adds = shifts = 0
-    for m in range(3, 1 << k, 2):
-        core, s = _odd_shift(m - 1)
-        even = odd[core] << s
-        shifts += 1
-        odd[m] = even + base
-        adds += 1
-    return odd, adds, shifts
+    steps = range(3, 1 << k, 2)
+    for m in steps:
+        core, s = controls[m - 1]
+        odd[m] = (odd[core] << s) + base
+    return odd, len(steps), len(steps)
 
 
 def build_multiple_table(a: Word, k: int) -> MultipleTable:
@@ -115,9 +125,12 @@ def build_multiple_table(a: Word, k: int) -> MultipleTable:
     Even multiples are shifts of smaller entries and each odd multiple
     is the preceding even one plus A, so for k=3 the order is exactly
     2A = A<<1, 3A = 2A+A, 4A = A<<2, 5A = 4A+A, 6A = 3A<<1, 7A = 6A+A.
-    The ladder runs on plain integers with one shift and one add per
-    step, never a multiplication; the per-build operation counts are
-    kept on the table so tests can assert no other route was taken.
+    Which smaller entry each step shifts, and by how much, is read from
+    the decoder's per-k control table (the factoring of the even
+    multiple's index). The ladder runs on plain integers with one shift
+    and one add per step, never a multiplication; the per-build
+    operation counts are kept on the table so tests can assert no other
+    route was taken.
     Each odd multiple is wrapped in a Word of width(A) + k bits once.
     """
     if k < 1:

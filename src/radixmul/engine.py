@@ -8,7 +8,10 @@ the remainder feeds back. Once the digits run out, flush cycles with a
 zero partial product drain the residue into the output registers.
 
 The loop runs the ladder, the digit decode, the mux and the barrel
-shift on plain ints and builds one Word per partial product. The
+shift on plain ints and builds one Word per partial product. The digit
+decode is a lookup in the decoder's fixed per-k control table
+(datapath._controls), the same table that wires the ladder and that
+verify_trace_dict checks each record's factoring against. The
 Word-level blocks (word.split_digits and datapath's decompose_digit,
 build_multiple_table, mux_select and barrel_shift) are the reference
 that the tests cross-check it against, record by record.
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
 
-from .datapath import AdderSizingError, _ladder, _odd_shift, central_adder_step
+from .datapath import AdderSizingError, _controls, _ladder, central_adder_step
 from .word import Word
 
 __all__ = [
@@ -55,6 +58,11 @@ class FlushPolicy(Enum):
     EARLY_STOP = "early_stop"
 
 
+# the widest digit accepted: the ladder builds 2^(k-1) odd multiples per
+# multiplicand and the decoder's control table holds 2^k entries, so each
+# further bit doubles both the time and the memory of a run
+_MAX_K = 16
+
 _CONFIG_TYPES = (
     ("n", (int,), "an int"),
     ("k", (int,), "an int"),
@@ -76,7 +84,8 @@ class SimConfig:
     2^n: if r < 2^n then r + digit * A < 2^(n+k), so the next residue,
     the sum shifted right by k, is below 2^n again, and n + k lines hold
     every sum. The enforced floor is still n + k + 2 lines, two above
-    what that proof needs.
+    what that proof needs. k is at most 16: the ladder and the decoder's
+    control table grow as 2^k.
     """
 
     n: int
@@ -101,6 +110,8 @@ class SimConfig:
             raise ConfigError(f"unknown flush policy {self.flush_policy!r}") from None
         if not 1 <= self.k <= self.n:
             raise ConfigError(f"need 1 <= k <= n, got n={self.n} k={self.k}")
+        if self.k > _MAX_K:
+            raise ConfigError(f"k {self.k} above the maximum digit width {_MAX_K}")
         if self.adder_width < self.n + self.k + 2:
             raise ConfigError(
                 f"adder_width {self.adder_width} below minimum "
@@ -175,7 +186,9 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
     the bound every valid run keeps, raises AdderSizingError.
 
     The digit, the mux and the barrel shift work on plain ints over the
-    odd multiples of the initial-adder ladder; each nonzero digit's
+    odd multiples of the initial-adder ladder, and each digit's mux
+    selection and shift count are one lookup in the per-k control
+    table, as a hardware decoder holds them; each nonzero digit's
     partial product becomes one Word of n + 2k - 1 bits (the barrel
     shifter's output width), and digit-0 and flush cycles share one
     zero Word. Every cycle goes through central_adder_step.
@@ -187,6 +200,7 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
     k = cfg.k
     adder_width = cfg.adder_width
     odd, _, _ = _ladder(a.value, k)
+    controls = _controls(k)
     pp_width = cfg.n + 2 * k - 1
     zero = Word(0, pp_width)
     multiplier = b.value
@@ -203,7 +217,7 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
         if cycle < digit_cycles:
             digit = multiplier & mask
             multiplier >>= k
-            odd_core, shift = _odd_shift(digit)
+            odd_core, shift = controls[digit]
             pp = Word(odd[odd_core] << shift, pp_width) if digit else zero
         else:
             digit, odd_core, shift, pp = None, 0, 0, zero
@@ -285,39 +299,41 @@ def to_trace_dict(result: SimResult) -> dict:
 
 def _record_template(flush: bool) -> str:
     # one trace record laid out as json.dumps(indent=2) lays it out inside
-    # the "trace" list, with a str.format field per CycleRecord position;
-    # the flush template writes the digit as null and ignores position 1
+    # the "trace" list, with a %-field per CycleRecord field in order; the
+    # flush template writes the digit as null and takes the other 7 fields
     lines = []
-    for i, name in enumerate(CycleRecord._fields):
+    for name in CycleRecord._fields:
         if name in ("cycle", "shift"):
-            value = f"{{{i}:d}}"
+            value = "%d"
         elif name == "digit" and flush:
             value = "null"
         else:
-            value = f'"{{{i}:#x}}"'
+            value = '"%#x"'
         lines.append(f'      "{name}": {value}')
-    return "    {{\n" + ",\n".join(lines) + "\n    }}"
+    return "    {\n" + ",\n".join(lines) + "\n    }"
 
 
-_DIGIT_RECORD = _record_template(flush=False).format
-_FLUSH_RECORD = _record_template(flush=True).format
+_DIGIT_RECORD = _record_template(flush=False)
+_FLUSH_RECORD = _record_template(flush=True)
 
 
 def to_trace_json(result: SimResult) -> str:
     """The run's JSON document as text.
 
     The text equals json.dumps(to_trace_dict(result), indent=2), byte for
-    byte, but is written straight from the fixed document layout: one
-    template fill per trace record, and repr for the config numbers and
-    total_time_ns, which is what json.dumps writes for an exact finite
-    int or float (SimConfig admits no other). The dict is never built.
+    byte, but is written straight from the fixed document layout: one %
+    fill of a record template per trace record, and repr for the config
+    numbers and total_time_ns, which is what json.dumps writes for an
+    exact finite int or float (SimConfig admits no other). The dict is
+    never built.
     """
     config = ",\n".join(
         f'    "{key}": "{value}"' if isinstance(value, str) else f'    "{key}": {value!r}'
         for key, value in _config_doc(result.config).items()
     )
     records = ",\n".join([
-        (_FLUSH_RECORD if r.digit is None else _DIGIT_RECORD)(*r) for r in result.trace
+        _FLUSH_RECORD % (r.cycle, *r[2:]) if r.digit is None else _DIGIT_RECORD % r
+        for r in result.trace
     ])
     trace = f"[\n{records}\n  ]" if result.trace else "[]"
     return (
@@ -395,24 +411,32 @@ def verify_trace_dict(doc: dict) -> None:
     k = cfg.k
     a, b = res.a.value, res.b.value
     weight = 1 << k
+    mask = weight - 1
+    controls = _controls(k)
+    digit_cycles = cfg.digit_cycles
+    chunks = b
     prev_after = 0
-    for i, r in enumerate(res.trace):
-        if r.cycle != i:
-            raise ValueError(f"cycle index {r.cycle} at position {i}")
-        if r.residue_before != prev_after:
+    for i, (cycle, digit, core, shift, pp, before, after, emitted) in enumerate(res.trace):
+        if cycle != i:
+            raise ValueError(f"cycle index {cycle} at position {i}")
+        if before != prev_after:
             raise ValueError(f"cycle {i}: residue chain broken")
-        if r.emitted + weight * r.residue_after != r.residue_before + r.pp:
+        if emitted + weight * after != before + pp:
             raise ValueError(f"cycle {i}: conservation violated")
-        if not 0 <= r.emitted < weight:
-            raise ValueError(f"cycle {i}: emitted {r.emitted} is not a {k}-bit value")
-        digit = (b >> (i * k)) & (weight - 1) if i < cfg.digit_cycles else None
-        if r.digit != digit:
-            raise ValueError(f"cycle {i}: digit {r.digit} is not b's chunk {digit}")
-        if (r.odd_core, r.shift) != _odd_shift(digit or 0):
+        if not 0 <= emitted < weight:
+            raise ValueError(f"cycle {i}: emitted {emitted} is not a {k}-bit value")
+        if i < digit_cycles:
+            chunk = chunks & mask
+            chunks >>= k
+        else:
+            chunk = None
+        if digit != chunk:
+            raise ValueError(f"cycle {i}: digit {digit} is not b's chunk {chunk}")
+        if (core, shift) != controls[chunk or 0]:
             raise ValueError(f"cycle {i}: odd_core and shift do not factor the digit")
-        if r.pp != (digit or 0) * a:
-            raise ValueError(f"cycle {i}: pp {r.pp} is not digit * a")
-        prev_after = r.residue_after
+        if pp != (chunk or 0) * a:
+            raise ValueError(f"cycle {i}: pp {pp} is not digit * a")
+        prev_after = after
     if prev_after:
         raise ValueError(f"final residue {prev_after} is not empty")
     if res.cycles != len(res.trace):

@@ -85,6 +85,13 @@ class TestMul:
         assert code == 2
         assert "error" in err
 
+    def test_digit_wider_than_sixteen_bits(self, capsys):
+        code, out, err = run(capsys, "mul", "--a", "3", "--b", "5",
+                             "--n", "64", "--k", "17")
+        assert code == 2
+        assert out == ""
+        assert err == "error: k 17 above the maximum digit width 16\n"
+
     def test_non_finite_clock(self, capsys):
         code, out, err = run(capsys, "mul", "--a", "3", "--b", "5",
                              "--clock-ns", "nan")

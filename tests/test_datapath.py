@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from radixmul.datapath import (
     AdderSizingError,
     ControlError,
+    _controls,
     _ladder,
     barrel_shift,
     build_multiple_table,
@@ -43,6 +44,27 @@ class TestDecomposeDigit:
             assert 0 <= shift < k
             if value == 0:
                 assert (core, shift) == (0, 0)
+
+
+class TestControlTable:
+    # checked against the definition d == core << shift, not against the
+    # _odd_shift factoring the table is built from
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_every_entry_factors_its_digit(self, k):
+        controls = _controls(k)
+        assert len(controls) == 1 << k
+        assert controls[0] == (0, 0)
+        for d in range(1, 1 << k):
+            core, shift = controls[d]
+            assert core << shift == d
+            assert core & 1 == 1
+            assert 0 <= shift < k
+
+    def test_three_bit_ladder_wiring(self):
+        # 2A = A<<1, 4A = A<<2, 6A = 3A<<1: the entries the k=3 ladder reads
+        controls = _controls(3)
+        assert (controls[2], controls[4], controls[6]) == ((1, 1), (1, 2), (3, 1))
+        assert dict(enumerate(controls)) == DIGIT_CONTROLS_K3
 
 
 class TestMultipleTable:

@@ -94,6 +94,17 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match="overflows"):
             SimConfig(n=6, clock_period_ns=1e308)
 
+    def test_rejects_a_digit_wider_than_sixteen_bits(self):
+        # the ladder and the control table grow as 2^k, so k=40 would
+        # exhaust memory instead of failing
+        with pytest.raises(ConfigError, match="^k 17 above the maximum digit width 16$"):
+            SimConfig(n=64, k=17)
+
+    def test_sixteen_bit_digits_still_multiply(self):
+        res = simulate(Word(0xFFFF, 16), Word(0xFFFF, 16), SimConfig(n=16, k=16))
+        assert res.product.value == 0xFFFF * 0xFFFF
+        assert res.cycles == 2
+
     @pytest.mark.parametrize("kwargs", [
         {"n": 4, "clock_period_ns": 10**400},
         {"n": 4, "load_delay_ns": 10**400},
@@ -306,6 +317,19 @@ class TestDecodeMatchesReferenceBlocks:
             res = simulate(wa, Word(b, n), cfg)
             assert_decode_matches_reference(res, build_multiple_table(wa, k))
             assert res.product.value == a * b
+
+    def test_interleaved_digit_widths_give_the_same_traces(self):
+        # the per-k control table is memoised; switching k and back must
+        # not hand simulate a table built for another width
+        a, b = Word(0xB5A3, 16), Word(0x6C1F, 16)
+        first = simulate(a, b, SimConfig(n=16, k=3))
+        wider = simulate(a, b, SimConfig(n=16, k=4))
+        again = simulate(a, b, SimConfig(n=16, k=3))
+        assert again.trace == first.trace
+        assert wider.trace != first.trace
+        assert first.product.value == wider.product.value == 0xB5A3 * 0x6C1F
+        assert_decode_matches_reference(first, build_multiple_table(a, 3))
+        assert_decode_matches_reference(wider, build_multiple_table(a, 4))
 
     def test_allocation_budget(self, monkeypatch):
         # all-ones n=16 k=3: 6 partial products, 11 residues, the initial
@@ -558,6 +582,86 @@ class TestTraceSerialization:
         for check in (from_trace_dict, verify_trace_dict):
             with pytest.raises(ConfigError, match="overflows a float"):
                 check(doc)
+
+
+class TestWideTraceChecker:
+    """Forgeries of cycle 9 of the 11 digit cycles of the n=64, k=6 golden trace.
+
+    Each forgery re-balances the residue chain, the emissions and the
+    product from the forged record on, so that only the targeted check
+    can fire; each asserts the checker's exact message.
+    """
+
+    A = 0xFEDCBA9876543210
+
+    @staticmethod
+    def load():
+        return json.loads((DATA / "mul_n64_k6.json").read_text(encoding="utf-8"))
+
+    @staticmethod
+    def rechain(doc, first):
+        # recompute residues and emissions from record `first` on, and the
+        # product from every emission as assemble_product stitches it
+        rows = doc["trace"]
+        k = doc["config"]["k"]
+        before = int(rows[first - 1]["residue_after"], 16) if first else 0
+        for row in rows[first:]:
+            total = before + int(row["pp"], 16)
+            row["residue_before"] = hex(before)
+            before = total >> k
+            row["emitted"], row["residue_after"] = hex(total & ((1 << k) - 1)), hex(before)
+        product = 0
+        for i, row in enumerate(rows):
+            product |= int(row["emitted"], 16) << (i * k)
+        doc["product"] = hex(product)
+
+    def forge_digit(self, doc):
+        row = doc["trace"][9]
+        row.update(digit="0x3d", odd_core="0x3d", shift=0, pp=hex(0x3D * self.A))
+        self.rechain(doc, 9)
+
+    def forge_factoring(self, doc):
+        # 0x3c is 0xf << 2; 0x1e << 1 has the same value but an even core
+        row = doc["trace"][9]
+        assert (row["digit"], row["odd_core"], row["shift"]) == ("0x3c", "0xf", 2)
+        row.update(odd_core="0x1e", shift=1)
+
+    def forge_pp(self, doc):
+        row = doc["trace"][9]
+        row["pp"] = hex(int(row["pp"], 16) + 8)
+        self.rechain(doc, 9)
+
+    def forge_cycle(self, doc):
+        doc["trace"][9]["cycle"] = 10
+
+    def forge_emitted(self, doc):
+        # move one unit of the residue into the emission: 0x2a + 2^6
+        row = doc["trace"][9]
+        row["emitted"] = hex(int(row["emitted"], 16) + 64)
+        row["residue_after"] = hex(int(row["residue_after"], 16) - 1)
+        self.rechain(doc, 10)
+
+    @pytest.mark.parametrize("forge,message", [
+        ("forge_digit", "cycle 9: digit 61 is not b's chunk 60"),
+        ("forge_factoring", "cycle 9: odd_core and shift do not factor the digit"),
+        ("forge_pp", f"cycle 9: pp {60 * A + 8} is not digit * a"),
+        ("forge_cycle", "cycle index 10 at position 9"),
+        ("forge_emitted", "cycle 9: emitted 106 is not a 6-bit value"),
+    ], ids=["digit", "factoring", "pp", "cycle", "emitted"])
+    def test_a_forged_ninth_cycle_is_named(self, forge, message):
+        doc = self.load()
+        verify_trace_dict(doc)
+        getattr(self, forge)(doc)
+        with pytest.raises(ValueError) as info:
+            verify_trace_dict(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("field,value", [("cycle", True), ("shift", 4.0)])
+    def test_a_mistyped_last_record_is_malformed(self, field, value):
+        doc = self.load()
+        doc["trace"][-1][field] = value
+        with pytest.raises(ValueError, match=f"^malformed trace document: {field} is"):
+            verify_trace_dict(doc)
 
 
 def oracle_json(result):
