@@ -23,8 +23,9 @@ k = 3
 
 print(f"multiplicand A = {a.value}")
 table = build_multiple_table(a, k)
-print(f"odd-multiple table (built with {table.ladder_shifts} shifts and "
-      f"{table.ladder_adds} adds, no multiplies):")
+steps = len(table) - 1
+print(f"odd-multiple table (built with {steps} shifts and {steps} adds, "
+      f"no multiplies):")
 for m, w in sorted(table.entries.items()):
     print(f"  {m} * A = {w.value:3d} = {w.to_bin()}")
 print()

@@ -7,7 +7,6 @@ MSB-first binary. Exit codes: 0 success, 1 correctness failure,
 
 import argparse
 import json
-import os
 import random
 import sys
 from dataclasses import fields
@@ -20,45 +19,35 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
-SEED_ENV_VAR = "RADIXMUL_SEED"
 EXHAUSTIVE_MAX_N = 10
 
 DEFAULT_OPERAND_BITS = 16
 
 
-def _add_config_args(p: argparse.ArgumentParser) -> None:
+def _add_config_args(p: argparse.ArgumentParser, timing: bool = False) -> None:
     # one flag per SimConfig field, dest the field's name; an unset flag
-    # stays None and SimConfig supplies the default the help text quotes
+    # stays None and SimConfig supplies the default the help text quotes;
+    # the timing fields get flags only where a time is reported
     p.add_argument("--n", type=int, default=DEFAULT_OPERAND_BITS,
                    help=f"operand width in bits (default {DEFAULT_OPERAND_BITS})")
     p.add_argument("--k", type=int,
                    help=f"multiplier digit width in bits (default {SimConfig.k})")
     p.add_argument("--adder-width", type=int,
                    help="central adder input lines (default n + 3k)")
-    p.add_argument("--clock-ns", dest="clock_period_ns", metavar="CLOCK_NS", type=float,
-                   help=f"clock period in ns (default {SimConfig.clock_period_ns:g})")
-    p.add_argument("--load-ns", dest="load_delay_ns", metavar="LOAD_NS", type=float,
-                   help=f"multiplier load delay in ns (default {SimConfig.load_delay_ns:g})")
+    if timing:
+        p.add_argument("--clock-ns", dest="clock_period_ns", metavar="CLOCK_NS", type=float,
+                       help=f"clock period in ns (default {SimConfig.clock_period_ns:g})")
+        p.add_argument("--load-ns", dest="load_delay_ns", metavar="LOAD_NS", type=float,
+                       help=f"multiplier load delay in ns (default {SimConfig.load_delay_ns:g})")
     p.add_argument("--flush", dest="flush_policy", choices=[f.value for f in FlushPolicy],
                    help="flush policy after the digits run out "
                         f"(default {SimConfig.flush_policy.value})")
 
 
 def _config_from_args(args) -> SimConfig:
-    return SimConfig(**{f.name: getattr(args, f.name) for f in fields(SimConfig)
-                        if getattr(args, f.name) is not None})
-
-
-def _resolve_seed(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return random.SystemRandom().getrandbits(32)
+    # the fields the subcommand has a flag for and the user set
+    return SimConfig(**{f.name: value for f in fields(SimConfig)
+                        if (value := getattr(args, f.name, None)) is not None})
 
 
 def _cmd_mul(args) -> int:
@@ -85,6 +74,8 @@ def _cmd_verify(args) -> int:
     cfg = _config_from_args(args)
     n = cfg.n
     if args.exhaustive:
+        if args.seed is not None:
+            raise ValueError("--seed applies only to --random")
         if n > EXHAUSTIVE_MAX_N:
             raise ValueError(f"--exhaustive is limited to n <= {EXHAUSTIVE_MAX_N}")
         mode = "exhaustive"
@@ -96,7 +87,7 @@ def _cmd_verify(args) -> int:
         if args.random < 1:
             raise ValueError(f"--random needs a COUNT of at least 1, got {args.random}")
         mode = f"random {args.random}"
-        seed = _resolve_seed(args.seed)
+        seed = random.SystemRandom().getrandbits(32) if args.seed is None else args.seed
         rng = random.Random(seed)
         pairs = ((rng.getrandbits(n), rng.getrandbits(n)) for _ in range(args.random))
         total = args.random
@@ -205,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mul = sub.add_parser("mul", help="multiply two operands, optionally dumping the trace")
     p_mul.add_argument("--a", required=True, help="multiplicand (decimal, 0x hex, or bin: binary)")
     p_mul.add_argument("--b", required=True, help="multiplier (same formats)")
-    _add_config_args(p_mul)
+    _add_config_args(p_mul, timing=True)
     p_mul.add_argument("--trace", metavar="PATH", help="write the JSON trace to PATH")
     p_mul.add_argument("--json", action="store_true", help="print the JSON trace to stdout")
     p_mul.set_defaults(func=_cmd_mul)
@@ -216,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help=f"all operand pairs (n <= {EXHAUSTIVE_MAX_N})")
     mode.add_argument("--random", type=int, metavar="COUNT",
                       help="COUNT seeded random pairs")
-    p_verify.add_argument("--seed", type=int, default=None,
-                          help=f"PRNG seed (falls back to ${SEED_ENV_VAR}, then entropy)")
+    p_verify.add_argument("--seed", type=int,
+                          help="PRNG seed for --random (default: OS entropy)")
     _add_config_args(p_verify)
     p_verify.add_argument("--json", action="store_true", help="machine-readable summary")
     p_verify.set_defaults(func=_cmd_verify)

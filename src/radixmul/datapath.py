@@ -83,19 +83,18 @@ class MultipleTable:
     Only odd multiples are stored; every even multiple is an odd entry
     shifted left, which the barrel shifter supplies later. Entries are
     width(A) + k bits wide, enough for any multiple up to (2^k - 1)*A.
-    The constant-zero mux line is carried as ``zero``.
+    The constant-zero mux line is carried as ``zero``. That the ladder
+    never multiplies is checked on the source, by
+    tests/test_modelling_rules.py.
     """
 
-    __slots__ = ("k", "width", "entries", "zero", "ladder_adds", "ladder_shifts")
+    __slots__ = ("k", "width", "entries", "zero")
 
-    def __init__(self, k: int, width: int, entries: dict[int, Word],
-                 ladder_adds: int, ladder_shifts: int):
+    def __init__(self, k: int, width: int, entries: dict[int, Word]):
         self.k = k
         self.width = width
         self.entries = entries
         self.zero = Word(0, width)
-        self.ladder_adds = ladder_adds
-        self.ladder_shifts = ladder_shifts
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -105,18 +104,17 @@ class MultipleTable:
         return f"MultipleTable(k={self.k}, {{{pairs}}})"
 
 
-def _ladder(base: int, k: int) -> tuple[dict[int, int], int, int]:
+def _ladder(base: int, k: int) -> dict[int, int]:
     # the initial adders on plain ints: each odd multiple m of base is the
     # even multiple m - 1, a smaller odd entry shifted as the control table
-    # wires it, plus base; returns the odd multiples 1..2^k - 1 and the
-    # shifts and adds it took
+    # wires it, plus base; returns the odd multiples 1..2^k - 1 (that no
+    # step multiplies is checked on the source, tests/test_modelling_rules.py)
     controls = _controls(k)
     odd = {1: base}
-    steps = range(3, 1 << k, 2)
-    for m in steps:
+    for m in range(3, 1 << k, 2):
         core, s = controls[m - 1]
         odd[m] = (odd[core] << s) + base
-    return odd, len(steps), len(steps)
+    return odd
 
 
 def build_multiple_table(a: Word, k: int) -> MultipleTable:
@@ -128,17 +126,15 @@ def build_multiple_table(a: Word, k: int) -> MultipleTable:
     Which smaller entry each step shifts, and by how much, is read from
     the decoder's per-k control table (the factoring of the even
     multiple's index). The ladder runs on plain integers with one shift
-    and one add per step, never a multiplication; the per-build
-    operation counts are kept on the table so tests can assert no other
-    route was taken.
+    and one add per step, never a multiplication; that rule is checked
+    on the source by tests/test_modelling_rules.py.
     Each odd multiple is wrapped in a Word of width(A) + k bits once.
     """
     if k < 1:
         raise ValueError(f"digit width must be positive, got {k}")
     width = a.width + k
-    odd, adds, shifts = _ladder(a.value, k)
-    entries = {m: Word(v, width) for m, v in odd.items()}
-    return MultipleTable(k, width, entries, adds, shifts)
+    entries = {m: Word(v, width) for m, v in _ladder(a.value, k).items()}
+    return MultipleTable(k, width, entries)
 
 
 def mux_select(table: MultipleTable, odd_core: int) -> Word:

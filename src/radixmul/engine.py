@@ -199,7 +199,7 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
         )
     k = cfg.k
     adder_width = cfg.adder_width
-    odd, _, _ = _ladder(a.value, k)
+    odd = _ladder(a.value, k)
     controls = _controls(k)
     pp_width = cfg.n + 2 * k - 1
     zero = Word(0, pp_width)

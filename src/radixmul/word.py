@@ -1,4 +1,4 @@
-"""Fixed-width unsigned bit vectors with LSB-first indexing.
+"""Fixed-width unsigned bit vectors.
 
 Every operand, multiple and residue in the simulator is a Word: an
 unsigned value pinned to an explicit bit width, with bit 0 being the
@@ -9,7 +9,7 @@ constructors hold that check; code that shifts or adds does so on plain
 ints and wraps the result in a new Word, which checks it.
 
 Binary text is printed and parsed MSB-first, matching how humans write
-binary literals; the string is reversed relative to the bit indexing.
+binary literals.
 """
 
 __all__ = [
@@ -45,25 +45,12 @@ class Word:
         self.value = value
         self.width = width
 
-    def bit(self, i: int) -> int:
-        """Bit at position i, where position 0 is the LSB."""
-        if not 0 <= i < self.width:
-            raise IndexError(f"bit {i} out of range for width {self.width}")
-        return (self.value >> i) & 1
-
-    def bits(self) -> tuple[int, ...]:
-        """All bits, LSB first."""
-        return tuple((self.value >> i) & 1 for i in range(self.width))
-
     def to_bin(self) -> str:
         """MSB-first binary string, zero-padded to the full width."""
         return format(self.value, f"0{self.width}b")
 
     def to_hex(self) -> str:
         return f"0x{self.value:x}"
-
-    def __int__(self) -> int:
-        return self.value
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Word):

@@ -140,18 +140,29 @@ class TestVerify:
         assert doc == {"n": 16, "k": 3, "mode": "random 50", "seed": 7,
                        "pairs": 50, "failures": 0, "first_failure": None}
 
-    def test_seed_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
-        code, out, _ = run(capsys, "verify", "--n", "8", "--random", "20",
-                           "--json")
+    @pytest.mark.parametrize("seed", [[], ["--seed", "1"]], ids=["entropy", "flag"])
+    def test_seed_environment_variable_is_ignored(self, capsys, monkeypatch, seed):
+        # the seed is --seed or else OS entropy; RADIXMUL_SEED is not read
+        monkeypatch.setenv("RADIXMUL_SEED", "nope")
+        code, out, err = run(capsys, "verify", "--random", "5", *seed)
         assert code == 0
-        assert json.loads(out)["seed"] == 123
+        assert "5 pairs, 0 failures" in out
+        assert err == ""
 
-    def test_bad_seed_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "nope")
-        code, _, err = run(capsys, "verify", "--n", "8", "--random", "5")
+    def test_seed_with_exhaustive_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "4", "--exhaustive",
+                             "--seed", "3")
         assert code == 2
-        assert cli.SEED_ENV_VAR in err
+        assert out == ""
+        assert err == "error: --seed applies only to --random\n"
+
+    def test_wide_random_needs_no_timing(self, capsys):
+        # verify reports no time; its config takes the default timing
+        code, out, err = run(capsys, "verify", "--random", "3", "--seed", "1",
+                             "--n", "64", "--k", "1")
+        assert code == 0
+        assert out == "verify n=64 k=1 random 3: 3 pairs, 0 failures (seed 1)\n"
+        assert err == ""
 
     def test_mismatch_exits_one(self, capsys, monkeypatch):
         def broken_compare(a, b, cfg):
@@ -261,6 +272,24 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--random", "3", "--seed", "1", "--clock-ns", "1"],
+        ["verify", "--random", "3", "--seed", "1", "--load-ns", "1"],
+        ["compare", "--a", "3", "--b", "5", "--clock-ns", "1"],
+        ["verify", "--random", "3", "--seed", "1", "--n", "64", "--k", "1",
+         "--clock-ns", "1e308"],
+        ["compare", "--a", "3", "--b", "5", "--clock-ns", "1e308"],
+    ], ids=["verify-clock", "verify-load", "compare-clock",
+            "verify-overflowing-clock", "compare-overflowing-clock"])
+    def test_timing_flags_only_on_mul(self, capsys, argv):
+        # only mul reports a time, so only mul takes the timing flags
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
     def test_unknown_flush_choice(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,7 @@ import inspect
 import pytest
 
 import radixmul
-from radixmul import baseline, datapath, engine, word
+from radixmul import baseline, cli, datapath, engine, word
 
 LIBRARY_MODULES = (baseline, datapath, engine, word)
 
@@ -53,3 +53,16 @@ def test_word_helpers_are_gone(name):
     assert name not in radixmul.__all__
     assert not hasattr(radixmul, name)
     assert not hasattr(word, name)
+
+
+@pytest.mark.parametrize("owner,name", [
+    (word.Word, "bit"),
+    (word.Word, "bits"),
+    (word.Word, "__int__"),
+    (datapath.MultipleTable, "ladder_adds"),
+    (datapath.MultipleTable, "ladder_shifts"),
+    (cli, "SEED_ENV_VAR"),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_unread_members_are_gone(owner, name):
+    # no path in the library, the demos or the benchmark read these
+    assert not hasattr(owner, name)

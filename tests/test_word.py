@@ -17,11 +17,6 @@ class TestWordConstruction:
         w = Word(0, 8)
         assert w.value == 0 and w.width == 8
 
-    def test_bits_lsb_first(self):
-        w = Word(13, 6)
-        assert w.bits() == (1, 0, 1, 1, 0, 0)
-        assert w.bit(0) == 1 and w.bit(2) == 1 and w.bit(5) == 0
-
     def test_value_too_wide(self):
         with pytest.raises(WidthOverflowError):
             Word(256, 8)
@@ -34,13 +29,6 @@ class TestWordConstruction:
         with pytest.raises(ValueError):
             Word(0, 0)
 
-    def test_bit_index_out_of_range(self):
-        w = Word(3, 2)
-        with pytest.raises(IndexError):
-            w.bit(2)
-        with pytest.raises(IndexError):
-            w.bit(-1)
-
     def test_equality_includes_width(self):
         assert Word(5, 4) == Word(5, 4)
         assert Word(5, 4) != Word(5, 5)
@@ -50,7 +38,6 @@ class TestWordConstruction:
         w = Word(13, 6)
         assert w.to_bin() == "001101"
         assert w.to_hex() == "0xd"
-        assert int(w) == 13
 
     def test_wide_words_supported(self):
         # widths well past 128 bits work; Python ints impose no ceiling
