@@ -33,7 +33,6 @@ __all__ = [
     "SimResult",
     "assemble_product",
     "cycle_count_model",
-    "from_trace_dict",
     "simulate",
     "to_trace_dict",
     "to_trace_json",
@@ -355,18 +354,47 @@ def _typed(value, name: str, types: tuple, need: str):
     return value
 
 
-def from_trace_dict(doc: dict) -> SimResult:
-    """Rebuild a SimResult from its JSON document (inverse of to_trace_dict).
+def verify_trace_dict(doc: dict) -> SimResult:
+    """Read a serialized trace, check its invariants and return the run.
 
-    A document with missing keys or wrongly typed values raises
-    ValueError; cycle, shift and cycles must be JSON integers (not
-    booleans or floats) and total_time_ns a JSON number.
+    The header is read first: the config through SimConfig, a, b and
+    the product as Words, then cycles and total_time_ns. Each record is
+    then read and checked before the next one, and the document checks
+    run last, so the first defect in document order is the one raised.
+
+    A missing key or a wrongly typed value raises ValueError("malformed
+    trace document: ..."); cycle, shift and cycles must be JSON integers
+    (not booleans or floats) and total_time_ns a JSON number. Per cycle:
+    the cycle index, residue chaining, conservation (emitted + 2^k *
+    residue_after equals residue_before + pp), emitted below 2^k (with
+    conservation, this fixes emitted and residue_after), the digit
+    against b's k-bit chunk (None on flush cycles), odd_core and shift
+    as the digit's factoring, and pp == digit * a by native
+    multiplication. Then: an empty final residue, the cycle count
+    against the records and cycle_count_model, the product reassembled
+    from the emissions and equal to a * b, and the timing identity.
+    Every violation raises ValueError. The returned SimResult equals the
+    simulate result the document was written from.
     """
     try:
         c = doc["config"]
         cfg = SimConfig(**{f.name: c[f.name] for f in fields(SimConfig)})
-        trace = [
-            CycleRecord(
+        a = Word(int(doc["a"], 16), cfg.n)
+        b = Word(int(doc["b"], 16), cfg.n)
+        product = Word(int(doc["product"], 16), 2 * cfg.n)
+        cycles = _typed(doc["cycles"], "cycles", (int,), "an int cycle count")
+        total_time_ns = _typed(doc["total_time_ns"], "total_time_ns", (int, float),
+                               "an int or a float")
+        k = cfg.k
+        weight = 1 << k
+        mask = weight - 1
+        controls = _controls(k)
+        digit_cycles = cfg.digit_cycles
+        chunks = b.value
+        prev_after = 0
+        trace: list[CycleRecord] = []
+        for i, r in enumerate(doc["trace"]):
+            rec = CycleRecord(
                 _typed(r["cycle"], "cycle", (int,), "an int cycle index"),
                 None if r["digit"] is None else int(r["digit"], 16),
                 int(r["odd_core"], 16),
@@ -377,76 +405,41 @@ def from_trace_dict(doc: dict) -> SimResult:
                 int(r["residue_after"], 16),
                 int(r["emitted"], 16),
             )
-            for r in doc["trace"]
-        ]
-        return SimResult(
-            a=Word(int(doc["a"], 16), cfg.n),
-            b=Word(int(doc["b"], 16), cfg.n),
-            config=cfg,
-            product=Word(int(doc["product"], 16), 2 * cfg.n),
-            cycles=_typed(doc["cycles"], "cycles", (int,), "an int cycle count"),
-            total_time_ns=_typed(doc["total_time_ns"], "total_time_ns", (int, float),
-                                 "an int or a float"),
-            trace=trace,
-        )
+            cycle, digit, core, shift, pp, before, after, emitted = rec
+            if cycle != i:
+                raise ValueError(f"cycle index {cycle} at position {i}")
+            if before != prev_after:
+                raise ValueError(f"cycle {i}: residue chain broken")
+            if emitted + weight * after != before + pp:
+                raise ValueError(f"cycle {i}: conservation violated")
+            if not 0 <= emitted < weight:
+                raise ValueError(f"cycle {i}: emitted {emitted} is not a {k}-bit value")
+            if i < digit_cycles:
+                chunk = chunks & mask
+                chunks >>= k
+            else:
+                chunk = None
+            if digit != chunk:
+                raise ValueError(f"cycle {i}: digit {digit} is not b's chunk {chunk}")
+            if (core, shift) != controls[chunk or 0]:
+                raise ValueError(f"cycle {i}: odd_core and shift do not factor the digit")
+            if pp != (chunk or 0) * a.value:
+                raise ValueError(f"cycle {i}: pp {pp} is not digit * a")
+            trace.append(rec)
+            prev_after = after
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed trace document: {exc!r}") from None
-
-
-def verify_trace_dict(doc: dict) -> None:
-    """Re-check a serialized trace's invariants, raising on the first violation.
-
-    Per cycle: the cycle index, residue chaining, conservation
-    (emitted + 2^k * residue_after equals residue_before + pp), emitted
-    below 2^k (with conservation, this fixes emitted and residue_after),
-    the digit against b's k-bit chunk (None on flush cycles), odd_core
-    and shift as the digit's factoring, and pp == digit * a by native
-    multiplication. Then: an empty final residue, the cycle count
-    against the records and cycle_count_model, the product reassembled
-    from the emissions and equal to a * b, and the timing identity.
-    Every violation raises ValueError.
-    """
-    res = from_trace_dict(doc)
-    cfg = res.config
-    k = cfg.k
-    a, b = res.a.value, res.b.value
-    weight = 1 << k
-    mask = weight - 1
-    controls = _controls(k)
-    digit_cycles = cfg.digit_cycles
-    chunks = b
-    prev_after = 0
-    for i, (cycle, digit, core, shift, pp, before, after, emitted) in enumerate(res.trace):
-        if cycle != i:
-            raise ValueError(f"cycle index {cycle} at position {i}")
-        if before != prev_after:
-            raise ValueError(f"cycle {i}: residue chain broken")
-        if emitted + weight * after != before + pp:
-            raise ValueError(f"cycle {i}: conservation violated")
-        if not 0 <= emitted < weight:
-            raise ValueError(f"cycle {i}: emitted {emitted} is not a {k}-bit value")
-        if i < digit_cycles:
-            chunk = chunks & mask
-            chunks >>= k
-        else:
-            chunk = None
-        if digit != chunk:
-            raise ValueError(f"cycle {i}: digit {digit} is not b's chunk {chunk}")
-        if (core, shift) != controls[chunk or 0]:
-            raise ValueError(f"cycle {i}: odd_core and shift do not factor the digit")
-        if pp != (chunk or 0) * a:
-            raise ValueError(f"cycle {i}: pp {pp} is not digit * a")
-        prev_after = after
     if prev_after:
         raise ValueError(f"final residue {prev_after} is not empty")
-    if res.cycles != len(res.trace):
-        raise ValueError(f"cycles field {res.cycles} != {len(res.trace)} records")
-    if assemble_product(res.trace, cfg.n, k) != res.product:
+    if cycles != len(trace):
+        raise ValueError(f"cycles field {cycles} != {len(trace)} records")
+    if assemble_product(trace, cfg.n, k) != product:
         raise ValueError("product does not match the emitted digits")
-    if res.product.value != a * b:
-        raise ValueError(f"product {res.product.value} is not a * b = {a * b}")
-    if res.cycles != cycle_count_model(res.a, res.b, cfg):
-        raise ValueError(f"cycles {res.cycles} disagree with cycle_count_model")
-    expected = cfg.total_time_ns(res.cycles)
-    if res.total_time_ns != expected:
-        raise ValueError(f"total_time_ns {res.total_time_ns} != {expected}")
+    if product.value != a.value * b.value:
+        raise ValueError(f"product {product.value} is not a * b = {a.value * b.value}")
+    if cycles != cycle_count_model(a, b, cfg):
+        raise ValueError(f"cycles {cycles} disagree with cycle_count_model")
+    expected = cfg.total_time_ns(cycles)
+    if total_time_ns != expected:
+        raise ValueError(f"total_time_ns {total_time_ns} != {expected}")
+    return SimResult(a, b, cfg, product, cycles, total_time_ns, trace)

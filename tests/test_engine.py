@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -21,19 +22,34 @@ from radixmul.engine import (
     SimConfig,
     assemble_product,
     cycle_count_model,
-    from_trace_dict,
     simulate,
     to_trace_dict,
     to_trace_json,
     verify_trace_dict,
 )
-from radixmul.word import Digit, Word, split_digits
+from radixmul.word import Digit, Word, WidthOverflowError, split_digits
 
 DATA = Path(__file__).parent / "data"
 
 
 def cfg6(policy=FlushPolicy.FULL_WIDTH):
     return SimConfig(n=6, k=3, flush_policy=policy)
+
+
+def single_field_forgeries(row):
+    # shallow copies of one trace record, each with one field changed: a hex
+    # value by -1 or +1, an int by -1 or +1 or to True, or the key deleted
+    for key, value in row.items():
+        if isinstance(value, str):
+            number = int(value, 16)
+            variants = (hex(number - 1), hex(number + 1))
+        elif value is None:
+            variants = ()
+        else:
+            variants = (value - 1, value + 1, True)
+        for variant in variants:
+            yield {**row, key: variant}
+        yield {name: v for name, v in row.items() if name != key}
 
 
 class TestSimConfig:
@@ -449,8 +465,7 @@ class TestTraceSerialization:
     def test_round_trip(self):
         res = self.make_result()
         doc = json.loads(to_trace_json(res))
-        assert from_trace_dict(doc) == res
-        verify_trace_dict(doc)
+        assert verify_trace_dict(doc) == res
 
     def test_verify_catches_tampering(self):
         doc = to_trace_dict(self.make_result())
@@ -489,9 +504,11 @@ class TestTraceSerialization:
     def string_shift(doc):
         doc["trace"][0]["shift"] = "0"
 
-    @pytest.mark.parametrize("tamper,match", [("raise_first_pp", "pp 99"),
-                                              ("zero_b", "digit"),
-                                              ("string_shift", "factor")])
+    @pytest.mark.parametrize("tamper,match", [
+        ("raise_first_pp", "pp 99"),
+        ("zero_b", "digit"),
+        ("string_shift", "^malformed trace document: shift is '0'"),
+    ])
     def test_verify_checks_the_trace_multiplies_a_by_b(self, tamper, match):
         doc = to_trace_dict(self.make_result())
         getattr(self, tamper)(doc)
@@ -524,15 +541,58 @@ class TestTraceSerialization:
                 cfg = SimConfig(n=4, k=k, adder_width=adder_width, flush_policy=policy)
                 for a in range(16):
                     for b in range(16):
-                        verify_trace_dict(to_trace_dict(simulate(Word(a, 4), Word(b, 4), cfg)))
+                        res = simulate(Word(a, 4), Word(b, 4), cfg)
+                        assert verify_trace_dict(to_trace_dict(res)) == res
+
+    @pytest.mark.parametrize("policy", list(FlushPolicy))
+    def test_every_single_field_forgery_is_rejected(self, policy):
+        accepted = []
+        for n in range(1, 4):
+            for k in range(1, n + 1):
+                for adder_width in (None, n + k + 2):
+                    cfg = SimConfig(n=n, k=k, adder_width=adder_width, flush_policy=policy)
+                    for a, b in itertools.product(range(1 << n), repeat=2):
+                        doc = to_trace_dict(simulate(Word(a, n), Word(b, n), cfg))
+                        rows = doc["trace"]
+                        for i, row in enumerate(rows):
+                            for forged in single_field_forgeries(row):
+                                rows[i] = forged
+                                try:
+                                    verify_trace_dict(doc)
+                                except ValueError:
+                                    continue
+                                accepted.append((cfg, a, b, forged))
+                            rows[i] = row
+        assert accepted == []
+
+    def test_the_first_defect_in_document_order_is_reported(self):
+        # a forged pp in cycle 1 comes before a mistyped shift in the last record
+        doc = to_trace_dict(self.make_result())
+        doc["trace"][1]["pp"] = "0x0"
+        doc["trace"][-1]["shift"] = 4.0
+        with pytest.raises(ValueError) as info:
+            verify_trace_dict(doc)
+        assert str(info.value) == "cycle 1: conservation violated"
+
+    @pytest.mark.parametrize("field,value,error,message", [
+        ("a", "0x40", WidthOverflowError, "value 64 does not fit in 6 bits"),
+        ("b", "-0x1", WidthOverflowError, "value -1 does not fit in 6 bits"),
+        ("product", "0x1000", WidthOverflowError, "value 4096 does not fit in 12 bits"),
+        ("a", "zz", ValueError, "invalid literal for int() with base 16: 'zz'"),
+    ], ids=["a-too-wide", "b-negative", "product-too-wide", "a-not-hex"])
+    def test_header_values_are_read_as_words(self, field, value, error, message):
+        doc = to_trace_dict(self.make_result())
+        doc[field] = value
+        with pytest.raises(ValueError) as info:
+            verify_trace_dict(doc)
+        assert (type(info.value), str(info.value)) == (error, message)
 
     def test_malformed_documents_are_value_errors(self):
         empty_record = to_trace_dict(self.make_result())
         empty_record["trace"][0] = {}
         for doc in ({}, {"config": 5}, empty_record):
-            for check in (from_trace_dict, verify_trace_dict):
-                with pytest.raises(ValueError, match="malformed"):
-                    check(doc)
+            with pytest.raises(ValueError, match="malformed"):
+                verify_trace_dict(doc)
 
     def test_verify_catches_wrong_time(self):
         doc = to_trace_dict(self.make_result())
@@ -545,16 +605,15 @@ class TestTraceSerialization:
         doc = to_trace_dict(self.make_result())
         doc["trace"][0][field] = value
         with pytest.raises(ValueError, match=f"malformed trace document: {field}"):
-            from_trace_dict(doc)
+            verify_trace_dict(doc)
 
     @pytest.mark.parametrize("field,value", [("cycles", 4.0), ("cycles", True),
                                              ("total_time_ns", "190.0")])
     def test_header_numbers_are_typed(self, field, value):
         doc = to_trace_dict(self.make_result())
         doc[field] = value
-        for check in (from_trace_dict, verify_trace_dict):
-            with pytest.raises(ValueError, match=f"malformed trace document: {field}"):
-                check(doc)
+        with pytest.raises(ValueError, match=f"malformed trace document: {field}"):
+            verify_trace_dict(doc)
 
     @pytest.mark.parametrize("field,value", [("k", True), ("n", 6.0),
                                              ("clock_period_ns", True),
@@ -563,9 +622,8 @@ class TestTraceSerialization:
         # at k=1 a JSON true would otherwise act as the digit width 1
         doc = to_trace_dict(simulate(Word(13, 6), Word(63, 6), SimConfig(n=6, k=1)))
         doc["config"][field] = value
-        for check in (from_trace_dict, verify_trace_dict):
-            with pytest.raises(ConfigError, match=f"^{field} is"):
-                check(doc)
+        with pytest.raises(ConfigError, match=f"^{field} is"):
+            verify_trace_dict(doc)
 
     def test_int_total_time_loads(self):
         doc = to_trace_dict(simulate(Word(13, 6), Word(63, 6),
@@ -579,9 +637,8 @@ class TestTraceSerialization:
         doc = json.loads(text.replace('"load_delay_ns": 30.0',
                                       '"load_delay_ns": 1' + "0" * 399))
         assert len(str(doc["config"]["load_delay_ns"])) == 400
-        for check in (from_trace_dict, verify_trace_dict):
-            with pytest.raises(ConfigError, match="overflows a float"):
-                check(doc)
+        with pytest.raises(ConfigError, match="overflows a float"):
+            verify_trace_dict(doc)
 
 
 class TestWideTraceChecker:
@@ -720,7 +777,7 @@ class TestTraceJsonText:
             cfg = SimConfig(n=n, k=k, flush_policy=policy)
             res = simulate(Word(rng.getrandbits(n), n), Word(rng.getrandbits(n), n), cfg)
             text = to_trace_json(res)
-            assert to_trace_json(from_trace_dict(json.loads(text))) == text
+            assert to_trace_json(verify_trace_dict(json.loads(text))) == text
 
     # golden files hold `radixmul mul ... --json` output written by the
     # json.dumps serialiser, so they also catch the emitter and the
@@ -735,4 +792,4 @@ class TestTraceJsonText:
         res = simulate(Word(a, cfg.n), Word(b, cfg.n), cfg)
         golden = (DATA / name).read_text(encoding="utf-8")
         assert to_trace_json(res) + "\n" == golden
-        verify_trace_dict(json.loads(golden))
+        assert verify_trace_dict(json.loads(golden)) == res

@@ -66,3 +66,10 @@ def test_word_helpers_are_gone(name):
 def test_unread_members_are_gone(owner, name):
     # no path in the library, the demos or the benchmark read these
     assert not hasattr(owner, name)
+
+
+def test_unchecked_trace_loader_is_gone():
+    # verify_trace_dict is the one reader of a trace document
+    assert "from_trace_dict" not in radixmul.__all__
+    assert not hasattr(radixmul, "from_trace_dict")
+    assert not hasattr(engine, "from_trace_dict")
