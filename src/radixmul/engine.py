@@ -10,11 +10,15 @@ zero partial product drain the residue into the output registers.
 The loop runs the ladder, the digit decode, the mux and the barrel
 shift on plain ints and builds one Word per partial product. The digit
 decode is a lookup in the decoder's fixed per-k control table
-(datapath._controls), the same table that wires the ladder and that
-verify_trace_dict checks each record's factoring against. The
+(datapath._controls), the same table that wires the ladder. The
 Word-level blocks (word.split_digits and datapath's decompose_digit,
 build_multiple_table, mux_select and barrel_shift) are the reference
 that the tests cross-check it against, record by record.
+
+The trace format lives in the writer, to_trace_dict and to_trace_json.
+verify_trace_dict reads only a document's inputs, computes the run
+natively (digit * a by multiplication, the adder as + and shifts) and
+accepts the document exactly when it is the one the writer gives.
 """
 
 import math
@@ -95,7 +99,7 @@ class SimConfig:
     flush_policy: FlushPolicy = FlushPolicy.FULL_WIDTH
 
     def __post_init__(self):
-        # exact types, as _typed checks a trace: True is not a width, 16.0 not a count
+        # exact types: True is not a width and 16.0 not a count, in code and in a trace
         for name, types, need in _CONFIG_TYPES:
             value = getattr(self, name)
             if type(value) not in types:
@@ -346,100 +350,97 @@ def to_trace_json(result: SimResult) -> str:
     )
 
 
-def _typed(value, name: str, types: tuple, need: str):
-    # exact type match, so a JSON true is not an int and 4.0 is not a count
-    if type(value) not in types:
-        raise ValueError(f"malformed trace document: {name} is {value!r} "
-                         f"({type(value).__name__}), need {need}")
-    return value
+def _native_run(a: Word, b: Word, cfg: SimConfig) -> SimResult:
+    # the run as native arithmetic gives it: digit * a by multiplication and
+    # the central adder as + and shifts; of the datapath it shares only the
+    # decoder's control table, so it is a model independent of simulate
+    k = cfg.k
+    mask = (1 << k) - 1
+    controls = _controls(k)
+    digit_cycles = cfg.digit_cycles
+    cycles = cycle_count_model(a, b, cfg)
+    residue = 0
+    trace = []
+    for i in range(cycles):
+        digit = (b.value >> i * k) & mask if i < digit_cycles else None
+        odd_core, shift = controls[digit or 0]
+        pp = (digit or 0) * a.value
+        total = residue + pp
+        trace.append(CycleRecord(i, digit, odd_core, shift, pp, residue,
+                                 total >> k, total & mask))
+        residue = total >> k
+    return SimResult(a, b, cfg, Word(a.value * b.value, 2 * cfg.n), cycles,
+                     cfg.total_time_ns(cycles), trace)
+
+
+# the order a rejected document is searched in: the run's inputs, then its
+# records, then what the records add up to
+_REPORT_ORDER = ("config", "a", "b", "trace", "product", "cycles", "total_time_ns")
+
+
+def _difference(got, want, where: str) -> ValueError | None:
+    # the first place, in want's key order, where got departs from want,
+    # exact types included, as the error that names it; None if none does
+    shown = where or "the document"
+    if type(got) is not type(want):
+        return ValueError(f"malformed trace document: {shown} is {got!r} "
+                          f"({type(got).__name__}), need {type(want).__name__}")
+    if isinstance(want, dict):
+        if got.keys() != want.keys():
+            return ValueError(f"malformed trace document: {shown} has keys "
+                              f"{list(got)}, need {list(want)}")
+        parts = [(f"{where}.{key}" if where else key, got[key], w)
+                 for key, w in want.items() if _unlike(got[key], w)]
+    elif isinstance(want, list):
+        parts = [(f"{where}[{i}]", g, w)
+                 for i, (g, w) in enumerate(zip(got, want)) if _unlike(g, w)]
+    else:
+        return None if got == want else ValueError(f"{where} is {got!r}, the run gives {want!r}")
+    for path, g, w in parts:
+        if error := _difference(g, w, path):
+            return error
+    if len(got) != len(want):
+        return ValueError(f"{where} has {len(got)} entries, the run gives {len(want)}")
+    return None
+
+
+def _unlike(got, want) -> bool:
+    # whether _difference may find something: a container equal under ==
+    # can still hold a true for a 1 or a 4.0 for a 4
+    return type(got) is not type(want) or got != want or isinstance(want, (dict, list))
 
 
 def verify_trace_dict(doc: dict) -> SimResult:
-    """Read a serialized trace, check its invariants and return the run.
+    """Check a serialized trace against the run it names and return the run.
 
-    The header is read first: the config through SimConfig, a, b and
-    the product as Words, then cycles and total_time_ns. Each record is
-    then read and checked before the next one, and the document checks
-    run last, so the first defect in document order is the one raised.
+    Only the run's inputs are read: the config through SimConfig, and a
+    and b as Words. A missing input key or a wrongly typed input raises
+    ValueError("malformed trace document: ..."), a config value
+    SimConfig refuses raises ConfigError, and an a or b that does not
+    fit in n bits raises WidthOverflowError. The run is then computed
+    natively, and the document is accepted exactly when it equals
+    to_trace_dict(run) with cycle, shift, cycles and total_time_ns of
+    the run's types, so that a JSON true is not 1 and 4.0 is not 4.
 
-    A missing key or a wrongly typed value raises ValueError("malformed
-    trace document: ..."); cycle, shift and cycles must be JSON integers
-    (not booleans or floats) and total_time_ns a JSON number. Per cycle:
-    the cycle index, residue chaining, conservation (emitted + 2^k *
-    residue_after equals residue_before + pp), emitted below 2^k (with
-    conservation, this fixes emitted and residue_after), the digit
-    against b's k-bit chunk (None on flush cycles), odd_core and shift
-    as the digit's factoring, and pp == digit * a by native
-    multiplication. Then: an empty final residue, the cycle count
-    against the records and cycle_count_model, the product reassembled
-    from the emissions and equal to a * b, and the timing identity.
-    Every violation raises ValueError. The returned SimResult equals the
-    simulate result the document was written from.
+    A rejected document raises ValueError naming the first field that
+    differs, searched as config, a, b, the records in order, product,
+    cycles and total_time_ns: "<path> is <got>, the run gives <want>"
+    for a wrong value, and "malformed trace document: ..." for a wrong
+    type or key set. The returned SimResult equals the simulate result
+    the document was written from.
     """
     try:
         c = doc["config"]
         cfg = SimConfig(**{f.name: c[f.name] for f in fields(SimConfig)})
         a = Word(int(doc["a"], 16), cfg.n)
         b = Word(int(doc["b"], 16), cfg.n)
-        product = Word(int(doc["product"], 16), 2 * cfg.n)
-        cycles = _typed(doc["cycles"], "cycles", (int,), "an int cycle count")
-        total_time_ns = _typed(doc["total_time_ns"], "total_time_ns", (int, float),
-                               "an int or a float")
-        k = cfg.k
-        weight = 1 << k
-        mask = weight - 1
-        controls = _controls(k)
-        digit_cycles = cfg.digit_cycles
-        chunks = b.value
-        prev_after = 0
-        trace: list[CycleRecord] = []
-        for i, r in enumerate(doc["trace"]):
-            rec = CycleRecord(
-                _typed(r["cycle"], "cycle", (int,), "an int cycle index"),
-                None if r["digit"] is None else int(r["digit"], 16),
-                int(r["odd_core"], 16),
-                _typed(r["shift"], "shift", (int,),
-                       "an int shift that factors the digit"),
-                int(r["pp"], 16),
-                int(r["residue_before"], 16),
-                int(r["residue_after"], 16),
-                int(r["emitted"], 16),
-            )
-            cycle, digit, core, shift, pp, before, after, emitted = rec
-            if cycle != i:
-                raise ValueError(f"cycle index {cycle} at position {i}")
-            if before != prev_after:
-                raise ValueError(f"cycle {i}: residue chain broken")
-            if emitted + weight * after != before + pp:
-                raise ValueError(f"cycle {i}: conservation violated")
-            if not 0 <= emitted < weight:
-                raise ValueError(f"cycle {i}: emitted {emitted} is not a {k}-bit value")
-            if i < digit_cycles:
-                chunk = chunks & mask
-                chunks >>= k
-            else:
-                chunk = None
-            if digit != chunk:
-                raise ValueError(f"cycle {i}: digit {digit} is not b's chunk {chunk}")
-            if (core, shift) != controls[chunk or 0]:
-                raise ValueError(f"cycle {i}: odd_core and shift do not factor the digit")
-            if pp != (chunk or 0) * a.value:
-                raise ValueError(f"cycle {i}: pp {pp} is not digit * a")
-            trace.append(rec)
-            prev_after = after
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed trace document: {exc!r}") from None
-    if prev_after:
-        raise ValueError(f"final residue {prev_after} is not empty")
-    if cycles != len(trace):
-        raise ValueError(f"cycles field {cycles} != {len(trace)} records")
-    if assemble_product(trace, cfg.n, k) != product:
-        raise ValueError("product does not match the emitted digits")
-    if product.value != a.value * b.value:
-        raise ValueError(f"product {product.value} is not a * b = {a.value * b.value}")
-    if cycles != cycle_count_model(a, b, cfg):
-        raise ValueError(f"cycles {cycles} disagree with cycle_count_model")
-    expected = cfg.total_time_ns(cycles)
-    if total_time_ns != expected:
-        raise ValueError(f"total_time_ns {total_time_ns} != {expected}")
-    return SimResult(a, b, cfg, product, cycles, total_time_ns, trace)
+    run = _native_run(a, b, cfg)
+    want = to_trace_dict(run)
+    if (doc == want and type(doc["cycles"]) is int
+            and type(doc["total_time_ns"]) is type(run.total_time_ns)
+            and all(type(r["cycle"]) is int and type(r["shift"]) is int
+                    for r in doc["trace"])):
+        return run
+    raise _difference(doc, {key: want[key] for key in _REPORT_ORDER}, "")

@@ -36,20 +36,78 @@ def cfg6(policy=FlushPolicy.FULL_WIDTH):
     return SimConfig(n=6, k=3, flush_policy=policy)
 
 
+def respellings(text):
+    # other spellings of a 0x-hex field's value: upper case, an upper-case
+    # prefix, unprefixed, zero-padded and space-padded
+    digits = text[2:]
+    variants = ("0x" + digits.upper(), "0X" + digits, digits, "0x0" + digits, f" {text} ")
+    return [variant for variant in variants if variant != text]
+
+
+def hex_forgeries(text):
+    # a 0x-hex field's neighbours by -1 and +1, then its respellings
+    number = int(text, 16)
+    return [hex(number - 1), hex(number + 1), *respellings(text)]
+
+
+def int_forgeries(value):
+    # an int field's neighbours, True, then its value as a float and a string
+    return [value - 1, value + 1, True, float(value), str(value)]
+
+
 def single_field_forgeries(row):
-    # shallow copies of one trace record, each with one field changed: a hex
-    # value by -1 or +1, an int by -1 or +1 or to True, or the key deleted
+    # shallow copies of one trace record, each with one field changed (a null
+    # digit to "0x0") or deleted, then one with an extra key
     for key, value in row.items():
         if isinstance(value, str):
-            number = int(value, 16)
-            variants = (hex(number - 1), hex(number + 1))
+            variants = hex_forgeries(value)
         elif value is None:
-            variants = ()
+            variants = ["0x0"]
         else:
-            variants = (value - 1, value + 1, True)
+            variants = int_forgeries(value)
         for variant in variants:
             yield {**row, key: variant}
         yield {name: v for name, v in row.items() if name != key}
+    yield {**row, "note": ""}
+
+
+def header_forgeries(doc):
+    # shallow copies of a whole document, each with one field outside the
+    # records changed: a and b respelt (another value is another run's
+    # input), product as a hex field, cycles as an int, an int total_time_ns
+    # under a float config, a null adder_width, or an extra key at the top
+    # level or in the config
+    for key in ("a", "b"):
+        for variant in respellings(doc[key]):
+            yield {**doc, key: variant}
+    for variant in hex_forgeries(doc["product"]):
+        yield {**doc, "product": variant}
+    for variant in int_forgeries(doc["cycles"]):
+        yield {**doc, "cycles": variant}
+    assert type(doc["total_time_ns"]) is float
+    yield {**doc, "total_time_ns": int(doc["total_time_ns"])}
+    yield {**doc, "config": {**doc["config"], "adder_width": None}}
+    yield {**doc, "config": {**doc["config"], "note": ""}}
+    yield {**doc, "note": ""}
+
+
+def small_documents(policy):
+    # the trace document of every pair at n <= 3, for every k and both the
+    # default and the minimum adder width
+    for n in range(1, 4):
+        for k in range(1, n + 1):
+            for adder_width in (None, n + k + 2):
+                cfg = SimConfig(n=n, k=k, adder_width=adder_width, flush_policy=policy)
+                for a, b in itertools.product(range(1 << n), repeat=2):
+                    yield to_trace_dict(simulate(Word(a, n), Word(b, n), cfg))
+
+
+def accepts(doc):
+    try:
+        verify_trace_dict(doc)
+    except ValueError:
+        return False
+    return True
 
 
 class TestSimConfig:
@@ -470,8 +528,9 @@ class TestTraceSerialization:
     def test_verify_catches_tampering(self):
         doc = to_trace_dict(self.make_result())
         doc["trace"][1]["pp"] = "0x0"
-        with pytest.raises(ValueError, match="conservation"):
+        with pytest.raises(ValueError) as info:
             verify_trace_dict(doc)
+        assert str(info.value) == "trace[1].pp is '0x0', the run gives '0x5b'"
 
     def test_verify_catches_wrong_product(self):
         doc = to_trace_dict(self.make_result())
@@ -505,9 +564,10 @@ class TestTraceSerialization:
         doc["trace"][0]["shift"] = "0"
 
     @pytest.mark.parametrize("tamper,match", [
-        ("raise_first_pp", "pp 99"),
+        ("raise_first_pp", r"^trace\[0\]\.pp is '0x63', the run gives '0x5b'$"),
         ("zero_b", "digit"),
-        ("string_shift", "^malformed trace document: shift is '0'"),
+        ("string_shift",
+         r"^malformed trace document: trace\[0\]\.shift is '0' \(str\), need int$"),
     ])
     def test_verify_checks_the_trace_multiplies_a_by_b(self, tamper, match):
         doc = to_trace_dict(self.make_result())
@@ -518,21 +578,24 @@ class TestTraceSerialization:
     def test_verify_rejects_an_emission_wider_than_k_bits(self):
         # the real 2 x 4 trace emits (0, residue 1) then (1, residue 0); the
         # forgery emits all 4 product bits at once, which keeps conservation,
-        # the chain, the reassembled product and the cycle count intact
+        # the chain, the reassembled product and the cycle count intact; its
+        # first field to differ is cycle 0's residue_after
         doc = to_trace_dict(simulate(Word(2, 6), Word(4, 6), cfg6(FlushPolicy.EARLY_STOP)))
         first, second = doc["trace"]
         assert (first["emitted"], first["residue_after"]) == ("0x0", "0x1")
         assert (second["emitted"], second["residue_after"]) == ("0x1", "0x0")
         first.update(emitted="0x8", residue_after="0x0")
         second.update(residue_before="0x0", emitted="0x0")
-        with pytest.raises(ValueError, match="emitted 8 is not a 3-bit value"):
+        with pytest.raises(ValueError) as info:
             verify_trace_dict(doc)
+        assert str(info.value) == "trace[0].residue_after is '0x0', the run gives '0x1'"
 
     def test_verify_rejects_an_empty_trace(self):
         doc = to_trace_dict(self.make_result())
         doc.update(trace=[], cycles=0, product="0x0", total_time_ns=30.0)
-        with pytest.raises(ValueError, match="no cycles"):
+        with pytest.raises(ValueError) as info:
             verify_trace_dict(doc)
+        assert str(info.value) == "trace has 0 entries, the run gives 4"
 
     @pytest.mark.parametrize("policy", list(FlushPolicy))
     def test_verify_accepts_every_small_trace(self, policy):
@@ -547,23 +610,30 @@ class TestTraceSerialization:
     @pytest.mark.parametrize("policy", list(FlushPolicy))
     def test_every_single_field_forgery_is_rejected(self, policy):
         accepted = []
-        for n in range(1, 4):
-            for k in range(1, n + 1):
-                for adder_width in (None, n + k + 2):
-                    cfg = SimConfig(n=n, k=k, adder_width=adder_width, flush_policy=policy)
-                    for a, b in itertools.product(range(1 << n), repeat=2):
-                        doc = to_trace_dict(simulate(Word(a, n), Word(b, n), cfg))
-                        rows = doc["trace"]
-                        for i, row in enumerate(rows):
-                            for forged in single_field_forgeries(row):
-                                rows[i] = forged
-                                try:
-                                    verify_trace_dict(doc)
-                                except ValueError:
-                                    continue
-                                accepted.append((cfg, a, b, forged))
-                            rows[i] = row
+        for doc in small_documents(policy):
+            rows = doc["trace"]
+            for i, row in enumerate(rows):
+                for forged in single_field_forgeries(row):
+                    rows[i] = forged
+                    if accepts(doc):
+                        accepted.append((doc["config"], doc["a"], doc["b"], forged))
+                rows[i] = row
         assert accepted == []
+
+    @pytest.mark.parametrize("policy", list(FlushPolicy))
+    def test_every_header_forgery_is_rejected(self, policy):
+        accepted = [forged for doc in small_documents(policy)
+                    for forged in header_forgeries(doc) if accepts(forged)]
+        assert accepted == []
+
+    def test_the_forgeries_include_the_respellings(self):
+        row = to_trace_dict(self.make_result())["trace"][0]
+        forgeries = [forged for forged in single_field_forgeries(row)
+                     if forged.keys() == row.keys()]
+        assert [forged["pp"] for forged in forgeries if forged["pp"] != row["pp"]] == \
+            ["0x5a", "0x5c", "0x5B", "0X5b", "5b", "0x05b", " 0x5b "]
+        assert [forged["shift"] for forged in forgeries
+                if forged["shift"] is not row["shift"]] == [-1, 1, True, 0.0, "0"]
 
     def test_the_first_defect_in_document_order_is_reported(self):
         # a forged pp in cycle 1 comes before a mistyped shift in the last record
@@ -572,15 +642,16 @@ class TestTraceSerialization:
         doc["trace"][-1]["shift"] = 4.0
         with pytest.raises(ValueError) as info:
             verify_trace_dict(doc)
-        assert str(info.value) == "cycle 1: conservation violated"
+        assert str(info.value) == "trace[1].pp is '0x0', the run gives '0x5b'"
 
     @pytest.mark.parametrize("field,value,error,message", [
         ("a", "0x40", WidthOverflowError, "value 64 does not fit in 6 bits"),
         ("b", "-0x1", WidthOverflowError, "value -1 does not fit in 6 bits"),
-        ("product", "0x1000", WidthOverflowError, "value 4096 does not fit in 12 bits"),
+        ("product", "0x1000", ValueError, "product is '0x1000', the run gives '0x333'"),
         ("a", "zz", ValueError, "invalid literal for int() with base 16: 'zz'"),
     ], ids=["a-too-wide", "b-negative", "product-too-wide", "a-not-hex"])
     def test_header_values_are_read_as_words(self, field, value, error, message):
+        # a and b are the run's inputs; product is only compared with the run's
         doc = to_trace_dict(self.make_result())
         doc[field] = value
         with pytest.raises(ValueError) as info:
@@ -604,8 +675,10 @@ class TestTraceSerialization:
     def test_record_counts_must_be_ints(self, field, value):
         doc = to_trace_dict(self.make_result())
         doc["trace"][0][field] = value
-        with pytest.raises(ValueError, match=f"malformed trace document: {field}"):
+        with pytest.raises(ValueError) as info:
             verify_trace_dict(doc)
+        assert str(info.value) == (f"malformed trace document: trace[0].{field} is "
+                                   f"{value!r} ({type(value).__name__}), need int")
 
     @pytest.mark.parametrize("field,value", [("cycles", 4.0), ("cycles", True),
                                              ("total_time_ns", "190.0")])
@@ -645,8 +718,9 @@ class TestWideTraceChecker:
     """Forgeries of cycle 9 of the 11 digit cycles of the n=64, k=6 golden trace.
 
     Each forgery re-balances the residue chain, the emissions and the
-    product from the forged record on, so that only the targeted check
-    can fire; each asserts the checker's exact message.
+    product from the forged record on, as a careful forger would; each
+    asserts the checker's exact message, which names cycle 9 and the
+    first of its fields to differ from the run.
     """
 
     A = 0xFEDCBA9876543210
@@ -692,18 +766,20 @@ class TestWideTraceChecker:
         doc["trace"][9]["cycle"] = 10
 
     def forge_emitted(self, doc):
-        # move one unit of the residue into the emission: 0x2a + 2^6
+        # move one unit of the residue into the emission: 0x2a + 2^6; the
+        # record's residue_after comes before its emitted
         row = doc["trace"][9]
         row["emitted"] = hex(int(row["emitted"], 16) + 64)
         row["residue_after"] = hex(int(row["residue_after"], 16) - 1)
         self.rechain(doc, 10)
 
     @pytest.mark.parametrize("forge,message", [
-        ("forge_digit", "cycle 9: digit 61 is not b's chunk 60"),
-        ("forge_factoring", "cycle 9: odd_core and shift do not factor the digit"),
-        ("forge_pp", f"cycle 9: pp {60 * A + 8} is not digit * a"),
-        ("forge_cycle", "cycle index 10 at position 9"),
-        ("forge_emitted", "cycle 9: emitted 106 is not a 6-bit value"),
+        ("forge_digit", "trace[9].digit is '0x3d', the run gives '0x3c'"),
+        ("forge_factoring", "trace[9].odd_core is '0x1e', the run gives '0xf'"),
+        ("forge_pp", f"trace[9].pp is '{60 * A + 8:#x}', the run gives '{60 * A:#x}'"),
+        ("forge_cycle", "trace[9].cycle is 10, the run gives 9"),
+        ("forge_emitted", "trace[9].residue_after is '0xf0cf9d5a05a02998', "
+                          "the run gives '0xf0cf9d5a05a02999'"),
     ], ids=["digit", "factoring", "pp", "cycle", "emitted"])
     def test_a_forged_ninth_cycle_is_named(self, forge, message):
         doc = self.load()
@@ -717,8 +793,10 @@ class TestWideTraceChecker:
     def test_a_mistyped_last_record_is_malformed(self, field, value):
         doc = self.load()
         doc["trace"][-1][field] = value
-        with pytest.raises(ValueError, match=f"^malformed trace document: {field} is"):
+        with pytest.raises(ValueError) as info:
             verify_trace_dict(doc)
+        assert str(info.value) == (f"malformed trace document: trace[21].{field} is "
+                                   f"{value!r} ({type(value).__name__}), need int")
 
 
 def oracle_json(result):

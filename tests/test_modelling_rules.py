@@ -4,9 +4,12 @@ The ladder builds multiples by shifting and adding, never by
 multiplying, and the CSA and the RCA ripple use only boolean
 operations. The value tests pass either way, so these read the syntax
 tree of datapath.py: no arithmetic operator beyond + and - anywhere in
-the module, and not even those in _csa and _ripple. Invariants raise
-typed errors, so no library module may hold an assert, which python -O
-strips.
+the module, and not even those in _csa and _ripple. The trace checker
+compares a document with a run it computes natively, so that run
+(engine._native_run) may read only the decoder's control table of the
+datapath, and never runs simulate or the central adder. Invariants
+raise typed errors, so no library module may hold an assert, which
+python -O strips.
 """
 
 import ast
@@ -15,10 +18,14 @@ from pathlib import Path
 import pytest
 
 import radixmul
-from radixmul import datapath
+from radixmul import datapath, engine
 
 LIBRARY_SOURCES = sorted(Path(radixmul.__file__).parent.glob("*.py"))
 TREE = ast.parse(Path(datapath.__file__).read_text(encoding="utf-8"))
+ENGINE_TREE = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+# every function and class the datapath module defines
+DATAPATH_NAMES = {name for name, value in vars(datapath).items()
+                  if getattr(value, "__module__", None) == datapath.__name__}
 
 MULTIPLICATIVE = (ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow, ast.MatMult)
 ADDITIVE = (ast.Add, ast.Sub, ast.UAdd, ast.USub)
@@ -34,8 +41,8 @@ def operators(tree: ast.AST, kinds: tuple) -> list[str]:
     ]
 
 
-def function(name: str) -> ast.FunctionDef:
-    return next(node for node in ast.walk(TREE)
+def function(name: str, tree: ast.AST = TREE) -> ast.FunctionDef:
+    return next(node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
@@ -52,6 +59,33 @@ def test_the_check_sees_augmented_and_nested_operators():
     tree = ast.parse("def f(x):\n    x *= 2\n    return g(x @ y, -x + 1)\n")
     assert operators(tree, MULTIPLICATIVE) == ["line 2: Mult", "line 3: MatMult"]
     assert sorted(operators(tree, ADDITIVE)) == ["line 3: Add", "line 3: USub"]
+
+
+def names(tree: ast.AST) -> set[str]:
+    # every bare name and attribute name the tree mentions
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def called(tree: ast.AST) -> set[str]:
+    # the name of every function the tree calls, bare or as an attribute
+    funcs = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return ({func.id for func in funcs if isinstance(func, ast.Name)}
+            | {func.attr for func in funcs if isinstance(func, ast.Attribute)})
+
+
+def test_the_native_run_reads_only_the_control_table_of_the_datapath():
+    run = function("_native_run", ENGINE_TREE)
+    assert names(run) & DATAPATH_NAMES == {"_controls"}
+    assert called(run) & {"simulate", "central_adder_step"} == set()
+
+
+def test_the_independence_check_sees_what_simulate_uses():
+    tree = function("simulate", ENGINE_TREE)
+    assert {"_controls", "_ladder", "central_adder_step"} <= names(tree) & DATAPATH_NAMES
+    assert "central_adder_step" in called(tree)
+    nested = ast.parse("def f(x):\n    return g(datapath.csa(x))\n")
+    assert called(nested) == {"g", "csa"}
 
 
 def asserts(tree: ast.AST) -> list[int]:
