@@ -62,12 +62,20 @@ def _odd_shift(value: int) -> tuple[int, int]:
     return value >> shift, shift
 
 
+# the widest digit accepted: the ladder builds 2^(k-1) odd multiples per
+# multiplicand and the decoder's control table holds 2^k entries, so each
+# further bit doubles both the time and the memory of a run
+_MAX_K = 16
+
+
 @lru_cache(maxsize=8)
 def _controls(k: int) -> tuple[tuple[int, int], ...]:
     # the decoder's fixed control table for k-bit digits: entry d is d's
     # (mux selection, shifter count), so d == core << shift as _odd_shift
     # factors it; built once per k and shared by the ladder's wiring, the
     # digit decode and the trace checker
+    if k > _MAX_K:
+        raise ValueError(f"k {k} above the maximum digit width {_MAX_K}")
     return tuple(_odd_shift(d) for d in range(1 << k))
 
 
@@ -129,6 +137,8 @@ def build_multiple_table(a: Word, k: int) -> MultipleTable:
     and one add per step, never a multiplication; that rule is checked
     on the source by tests/test_modelling_rules.py.
     Each odd multiple is wrapped in a Word of width(A) + k bits once.
+    A k above 16, which SimConfig refuses too, raises ValueError: the
+    ladder and the control table grow as 2^k.
     """
     if k < 1:
         raise ValueError(f"digit width must be positive, got {k}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
 
-from .datapath import AdderSizingError, _controls, _ladder, central_adder_step
+from .datapath import _MAX_K, AdderSizingError, _controls, _ladder, central_adder_step
 from .word import Word
 
 __all__ = [
@@ -61,11 +61,6 @@ class FlushPolicy(Enum):
     EARLY_STOP = "early_stop"
 
 
-# the widest digit accepted: the ladder builds 2^(k-1) odd multiples per
-# multiplicand and the decoder's control table holds 2^k entries, so each
-# further bit doubles both the time and the memory of a run
-_MAX_K = 16
-
 _CONFIG_TYPES = (
     ("n", (int,), "an int"),
     ("k", (int,), "an int"),
@@ -79,11 +74,13 @@ _CONFIG_TYPES = (
 class SimConfig:
     """Datapath geometry and timing parameters.
 
-    The fields and their defaults are the configuration's one
-    description: the CLI takes its flag destinations and help-text
-    defaults from them, and the trace document's config block has one
-    key per field. adder_width defaults to n + 3k (25 input lines for
-    the 16-bit, 3-bit-digit reference design). The residue stays below
+    The fields, their defaults and the checks below are the
+    configuration's one description: the CLI takes its flag
+    destinations, its help-text defaults and its limits on n and k from
+    them, and the trace document's config block has one key per field.
+    n defaults to 16 and k to 3, the paper's reference width and digit,
+    so SimConfig() is the reference design; adder_width defaults to
+    n + 3k (25 input lines there). The residue stays below
     2^n: if r < 2^n then r + digit * A < 2^(n+k), so the next residue,
     the sum shifted right by k, is below 2^n again, and n + k lines hold
     every sum. The enforced floor is still n + k + 2 lines, two above
@@ -91,7 +88,7 @@ class SimConfig:
     control table grow as 2^k.
     """
 
-    n: int
+    n: int = 16
     k: int = 3
     adder_width: int | None = None
     clock_period_ns: float = 40.0
@@ -410,6 +407,21 @@ def _unlike(got, want) -> bool:
     return type(got) is not type(want) or got != want or isinstance(want, (dict, list))
 
 
+def _outline_error(doc, cfg: SimConfig, a: Word, b: Word, cycles: int) -> ValueError:
+    # why a document whose trace is not a list at least as long as the run is
+    # refused, found without building the run and in _difference's order: the
+    # document's type and keys, config, a and b, then the trace's type and length
+    if type(doc) is not dict or doc.keys() != set(_REPORT_ORDER):
+        return _difference(doc, dict.fromkeys(_REPORT_ORDER), "")
+    head = {"config": _config_doc(cfg), "a": hex(a.value), "b": hex(b.value)}
+    if error := _difference({key: doc[key] for key in head}, head, ""):
+        return error
+    trace = doc["trace"]
+    if type(trace) is not list:
+        return _difference(trace, [], "trace")
+    return ValueError(f"trace has {len(trace)} entries, the run gives {cycles}")
+
+
 def verify_trace_dict(doc: dict) -> SimResult:
     """Check a serialized trace against the run it names and return the run.
 
@@ -426,8 +438,12 @@ def verify_trace_dict(doc: dict) -> SimResult:
     differs, searched as config, a, b, the records in order, product,
     cycles and total_time_ns: "<path> is <got>, the run gives <want>"
     for a wrong value, and "malformed trace document: ..." for a wrong
-    type or key set. The returned SimResult equals the simulate result
-    the document was written from.
+    type or key set. The run is built only once the trace is a list at
+    least as long as the run (cycle_count_model), so the work is bounded
+    by the document's size: a trace shorter than its run gets "trace has
+    N entries, the run gives M" after any key, config, a or b
+    difference, and before any record's. The returned SimResult equals
+    the simulate result the document was written from.
     """
     try:
         c = doc["config"]
@@ -436,6 +452,10 @@ def verify_trace_dict(doc: dict) -> SimResult:
         b = Word(int(doc["b"], 16), cfg.n)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed trace document: {exc!r}") from None
+    cycles = cycle_count_model(a, b, cfg)
+    trace = doc.get("trace") if type(doc) is dict else None
+    if type(trace) is not list or len(trace) < cycles:
+        raise _outline_error(doc, cfg, a, b, cycles)
     run = _native_run(a, b, cfg)
     want = to_trace_dict(run)
     if (doc == want and type(doc["cycles"]) is int

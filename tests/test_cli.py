@@ -209,15 +209,24 @@ class TestSweep:
         assert len(lines) == 5
 
     def test_k_out_of_range(self, capsys):
-        code, _, err = run(capsys, "sweep", "--n", "16", "--k", "0..4")
+        code, out, err = run(capsys, "sweep", "--n", "16", "--k", "0..4")
         assert code == 2
-        assert "k range" in err
+        assert out == ""
+        assert err == "error: need 1 <= k <= n, got n=16 k=0\n"
 
-    def test_k_capped_at_eight(self, capsys):
-        code, _, err = run(capsys, "sweep", "--n", "32", "--k", "9")
+    def test_k_runs_to_sixteen_as_in_mul(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--n", "16", "--k", "9..16", "--json")
+        assert code == 0
+        assert [r["table_size"] for r in json.loads(out)] == [
+            256, 512, 1024, 2048, 4096, 8192, 16384, 32768]
+
+    def test_k_above_sixteen_is_simconfigs_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--n", "32", "--k", "17")
         assert code == 2
+        assert out == ""
+        assert err == "error: k 17 above the maximum digit width 16\n"
 
-    @pytest.mark.parametrize("text", ["1..", "..3", "x"])
+    @pytest.mark.parametrize("text", ["1..", "..3", "x", "4..2"])
     def test_unparsable_k_names_the_range(self, capsys, text):
         code, out, err = run(capsys, "sweep", "--n", "16", "--k", text)
         assert code == 2
@@ -229,7 +238,7 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", "--n", n, "--k", "1")
         assert code == 2
         assert out == ""
-        assert err == f"error: n must be at least 1, got {n}\n"
+        assert err == f"error: need 1 <= k <= n, got n={n} k=1\n"
 
 
 class TestCompare:

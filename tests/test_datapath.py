@@ -94,6 +94,12 @@ class TestMultipleTable:
             table = build_multiple_table(Word(21, 8), k)
             assert len(table) == 1 << (k - 1)
 
+    def test_refuses_a_digit_wider_than_sixteen_bits(self):
+        # SimConfig's bound, kept at the public entry: k=18 would build
+        # 2^17 entries and peak near 100 MB
+        with pytest.raises(ValueError, match="^k 17 above the maximum digit width 16$"):
+            build_multiple_table(Word(1, 8), 17)
+
     @given(st.integers(0, 2**16 - 1), st.integers(1, 8))
     def test_entries_are_exact_multiples(self, a, k):
         table = build_multiple_table(Word(a, 16), k)

@@ -120,6 +120,10 @@ class TestSimConfig:
         assert cfg.flush_policy is FlushPolicy.FULL_WIDTH
         assert cfg.digit_cycles == 6
 
+    def test_the_default_config_is_the_reference_design(self):
+        assert SimConfig() == SimConfig(n=16)
+        assert SimConfig().adder_width == 25
+
     def test_string_policy_accepted(self):
         assert SimConfig(n=8, flush_policy="early_stop").flush_policy \
             is FlushPolicy.EARLY_STOP
@@ -797,6 +801,59 @@ class TestWideTraceChecker:
             verify_trace_dict(doc)
         assert str(info.value) == (f"malformed trace document: trace[21].{field} is "
                                    f"{value!r} ({type(value).__name__}), need int")
+
+
+class TestCheckerWorkIsBoundedByTheDocument:
+    """A document of a few hundred bytes can name a run of 10^7 cycles."""
+
+    @staticmethod
+    def header(n, k, **changes):
+        cfg = SimConfig(n=n, k=k)
+        doc = {"config": engine._config_doc(cfg), "a": "0x1", "b": "0x1",
+               "product": "0x1", "cycles": cfg.full_width_cycles,
+               "total_time_ns": cfg.total_time_ns(cfg.full_width_cycles), "trace": []}
+        return doc | changes
+
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the run was built")
+        monkeypatch.setattr(engine, "_native_run", refused)
+
+    def test_a_short_trace_is_refused_without_building_the_run(self, no_run):
+        with pytest.raises(ValueError) as info:
+            verify_trace_dict(self.header(10**7, 1))
+        assert str(info.value) == "trace has 0 entries, the run gives 20000000"
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"extra": 0}, "malformed trace document: the document has keys ['config', 'a', "
+                       "'b', 'product', 'cycles', 'total_time_ns', 'trace', 'extra'], need "
+                       "['config', 'a', 'b', 'trace', 'product', 'cycles', 'total_time_ns']"),
+        ({"a": "0X1"}, "a is '0X1', the run gives '0x1'"),
+        ({"b": "0x01"}, "b is '0x01', the run gives '0x1'"),
+        ({"trace": {}}, "malformed trace document: trace is {} (dict), need list"),
+        ({"trace": [None] * 3}, "trace has 3 entries, the run gives 200"),
+    ], ids=["keys", "a", "b", "type", "length"])
+    def test_the_header_is_searched_first(self, no_run, changes, message):
+        with pytest.raises(ValueError) as info:
+            verify_trace_dict(self.header(100, 1, **changes))
+        assert str(info.value) == message
+
+    def test_a_bad_config_value_is_named_before_the_length(self, no_run):
+        doc = self.header(100, 1)
+        doc["config"] = doc["config"] | {"adder_width": None}
+        with pytest.raises(ValueError) as info:
+            verify_trace_dict(doc)
+        assert str(info.value) == ("malformed trace document: config.adder_width "
+                                   "is None (NoneType), need int")
+
+    def test_a_short_trace_is_named_before_a_bad_record(self):
+        doc = to_trace_dict(simulate(Word(13, 6), Word(63, 6), cfg6()))
+        doc["trace"][0]["pp"] = "0x5c"
+        del doc["trace"][-1]
+        with pytest.raises(ValueError) as info:
+            verify_trace_dict(doc)
+        assert str(info.value) == "trace has 3 entries, the run gives 4"
 
 
 def oracle_json(result):
