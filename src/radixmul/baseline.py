@@ -3,12 +3,13 @@
 Two independent routes check the digit-serial simulator: the classical
 one-bit-per-cycle shift-and-add multiplier, run on plain ints and
 sharing no code with the datapath (only the product is a Word), and a
-native wide-integer oracle. All three must agree on every product.
+native wide-integer oracle. All three must agree on every product, and
+the simulator's cycle count must equal cycle_count_model's.
 """
 
 from dataclasses import dataclass, fields
 
-from .engine import SimConfig, simulate
+from .engine import SimConfig, cycle_count_model, simulate
 from .word import Word, WidthMismatchError
 
 __all__ = [
@@ -21,7 +22,8 @@ __all__ = [
 
 
 class ProductMismatchError(RuntimeError):
-    """Two multiplier routes disagreed; a correctness bug, not an input error."""
+    """Two multiplier routes disagreed on a product or a cycle count; a
+    correctness bug, not an input error."""
 
 
 def shift_add_multiply(a: Word, b: Word) -> tuple[Word, int]:
@@ -78,8 +80,9 @@ class ComparisonReport:
 def compare(a: Word, b: Word, cfg: SimConfig) -> ComparisonReport:
     """Run oracle, shift-and-add, and the digit-serial simulator.
 
-    Any disagreement between the three products raises; the report
-    carries the agreed product and both cycle counts.
+    Any disagreement between the three products raises, and so does a
+    simulated cycle count that differs from cycle_count_model; the
+    report carries the agreed product and both cycle counts.
     """
     expected = oracle_multiply(a, b)
     sa_product, sa_cycles = shift_add_multiply(a, b)
@@ -88,6 +91,12 @@ def compare(a: Word, b: Word, cfg: SimConfig) -> ComparisonReport:
         raise ProductMismatchError(
             f"a={a.to_hex()} b={b.to_hex()}: oracle={expected.to_hex()} "
             f"shift_add={sa_product.to_hex()} reformed={sim.product.to_hex()}"
+        )
+    model_cycles = cycle_count_model(a, b, cfg)
+    if sim.cycles != model_cycles:
+        raise ProductMismatchError(
+            f"a={a.to_hex()} b={b.to_hex()}: reformed cycles {sim.cycles}, "
+            f"cycle_count_model gives {model_cycles}"
         )
     return ComparisonReport(
         a=a,

@@ -12,7 +12,7 @@ import sys
 from dataclasses import fields
 
 from .baseline import ProductMismatchError, compare
-from .engine import FlushPolicy, SimConfig, cycle_count_model, simulate, to_trace_json
+from .engine import FlushPolicy, SimConfig, simulate, to_trace_json
 from .word import Word, parse_word
 
 EXIT_OK = 0
@@ -131,19 +131,15 @@ def _parse_k_range(text: str) -> range:
 
 
 def _cmd_sweep(args) -> int:
-    # both configs of every k first, so SimConfig refuses a bad n or k
-    configs = [(SimConfig(n=args.n, k=k, flush_policy=FlushPolicy.FULL_WIDTH),
-                SimConfig(n=args.n, k=k, flush_policy=FlushPolicy.EARLY_STOP))
-               for k in _parse_k_range(args.k)]
-    all_ones = Word((1 << args.n) - 1, args.n)
+    # one config per k; SimConfig refuses a bad n or k
+    configs = [SimConfig(n=args.n, k=k) for k in _parse_k_range(args.k)]
     rows = [{
-        "k": full_cfg.k,
-        "digit_cycles": full_cfg.digit_cycles,
-        "cycles_full_width": cycle_count_model(all_ones, all_ones, full_cfg),
-        "cycles_early_stop_max": cycle_count_model(all_ones, all_ones, early_cfg),
-        "adder_width": full_cfg.adder_width,
-        "table_size": 1 << (full_cfg.k - 1),
-    } for full_cfg, early_cfg in configs]
+        "k": cfg.k,
+        "digit_cycles": cfg.digit_cycles,
+        "cycles_full_width": cfg.full_width_cycles,
+        "adder_width": cfg.adder_width,
+        "table_size": 1 << (cfg.k - 1),
+    } for cfg in configs]
     if args.json:
         print(json.dumps(rows))
     else:

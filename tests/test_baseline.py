@@ -113,6 +113,21 @@ class TestCompare:
         with pytest.raises(ProductMismatchError):
             compare(Word(13, 6), Word(63, 6), SimConfig(n=6, k=3))
 
+    def test_cycle_count_mismatch_raises(self, monkeypatch):
+        from radixmul.engine import simulate as simulate_real
+
+        def one_cycle_too_many(a, b, config):
+            res = simulate_real(a, b, config)
+            res.cycles += 1
+            return res
+
+        monkeypatch.setattr(baseline, "simulate", one_cycle_too_many)
+        cfg = SimConfig(n=6, k=3, flush_policy=FlushPolicy.EARLY_STOP)
+        with pytest.raises(ProductMismatchError) as exc:
+            compare(Word(13, 6), Word(63, 6), cfg)
+        assert str(exc.value) == (
+            "a=0xd b=0x3f: reformed cycles 5, cycle_count_model gives 4")
+
     def test_report_serialization(self):
         cfg = SimConfig(n=6, k=3, flush_policy=FlushPolicy.EARLY_STOP)
         doc = compare(Word(13, 6), Word(63, 6), cfg).to_dict()

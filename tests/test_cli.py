@@ -1,16 +1,33 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from radixmul import cli
+from radixmul import baseline, cli
 from radixmul.baseline import ProductMismatchError
-from radixmul.engine import verify_trace_dict
+from radixmul.engine import simulate, verify_trace_dict
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def one_cycle_too_many(monkeypatch):
+    # a simulator that gets every product right and every cycle count wrong
+    def broken_simulate(a, b, cfg):
+        res = simulate(a, b, cfg)
+        res.cycles += 1
+        return res
+
+    monkeypatch.setattr(baseline, "simulate", broken_simulate)
 
 
 class TestMul:
@@ -124,6 +141,14 @@ class TestVerify:
         assert code == 0
         assert "300 pairs, 0 failures (seed 42)" in out
 
+    def test_wrong_cycle_count_is_a_failure(self, capsys, one_cycle_too_many):
+        code, out, err = run(capsys, "verify", "--n", "6", "--exhaustive",
+                             "--flush", "early_stop")
+        assert code == 1
+        assert "4096 pairs, 4096 failures" in out
+        assert err == ("MISMATCH a=0x0 b=0x0: reformed cycles 3, "
+                       "cycle_count_model gives 2\n")
+
     @pytest.mark.parametrize("count", ["-3", "0"])
     def test_random_count_must_be_positive(self, capsys, count):
         code, out, err = run(capsys, "verify", "--random", count,
@@ -185,6 +210,9 @@ class TestSweep:
         assert [r["cycles_full_width"] for r in rows] == [32, 16, 11, 8]
         assert [r["table_size"] for r in rows] == [1, 2, 4, 8]
         assert [r["adder_width"] for r in rows] == [19, 22, 25, 28]
+        assert [list(r) for r in rows] == [[
+            "k", "digit_cycles", "cycles_full_width", "adder_width", "table_size",
+        ]] * 4
 
     def test_single_k(self, capsys):
         code, out, _ = run(capsys, "sweep", "--n", "16", "--k", "3", "--json")
@@ -204,8 +232,7 @@ class TestSweep:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0].split() == ["k", "digit_cycles", "cycles_full_width",
-                                    "cycles_early_stop_max", "adder_width",
-                                    "table_size"]
+                                    "adder_width", "table_size"]
         assert len(lines) == 5
 
     def test_k_out_of_range(self, capsys):
@@ -239,6 +266,19 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert err == f"error: need 1 <= k <= n, got n={n} k=1\n"
+
+    def test_wide_n_is_closed_form(self):
+        # no column multiplies n-bit operands, so n = 10^8 takes no longer than n = 16
+        path = [str(SRC), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "radixmul", "sweep", "--n", "100000000", "--k", "1",
+             "--json"],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            '[{"k": 1, "digit_cycles": 100000000, "cycles_full_width": 200000000, '
+            '"adder_width": 100000003, "table_size": 1}]\n')
 
 
 class TestCompare:
@@ -274,6 +314,14 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "--a", "1", "--b", "1")
         assert code == 1
         assert "forced" in err
+
+    def test_wrong_cycle_count_exits_one(self, capsys, one_cycle_too_many):
+        code, out, err = run(capsys, "compare", "--a", "13", "--b", "63", "--n", "6",
+                             "--flush", "early_stop")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: a=0xd b=0x3f: reformed cycles 5, "
+                       "cycle_count_model gives 4\n")
 
 
 class TestParser:
