@@ -26,7 +26,7 @@ table = build_multiple_table(a, k)
 steps = len(table) - 1
 print(f"odd-multiple table (built with {steps} shifts and {steps} adds, "
       f"no multiplies):")
-for m, w in sorted(table.entries.items()):
+for m, w in sorted(table.items()):
     print(f"  {m} * A = {w.value:3d} = {w.to_bin()}")
 print()
 

@@ -19,6 +19,7 @@ for n in (8, 16, 32):
     for k in range(1, 7):
         cfg = SimConfig(n=n, k=k)
         res = simulate(all_ones, all_ones, cfg)
+        assert res.product.value == all_ones.value * all_ones.value
         assert res.cycles == cycle_count_model(all_ones, all_ones, cfg)
         print(f"  {k}  {res.digit_cycles:12d}  {res.cycles:12d}  "
               f"{cfg.adder_width:11d}  {1 << (k - 1):13d}")

@@ -10,7 +10,7 @@ the simulator's cycle count must equal cycle_count_model's.
 from dataclasses import dataclass, fields
 
 from .engine import SimConfig, cycle_count_model, simulate
-from .word import Word, WidthMismatchError
+from .word import Word, WidthMismatchError, WidthOverflowError
 
 __all__ = [
     "ComparisonReport",
@@ -82,11 +82,18 @@ def compare(a: Word, b: Word, cfg: SimConfig) -> ComparisonReport:
 
     Any disagreement between the three products raises, and so does a
     simulated cycle count that differs from cycle_count_model; the
-    report carries the agreed product and both cycle counts.
+    report carries the agreed product and both cycle counts. A width
+    overflow inside the simulator (an adder or residue that its sizing
+    rule says cannot overflow) is a fault of the simulator on this pair
+    and raises ProductMismatchError too; operands that do not match
+    each other or cfg.n stay input errors.
     """
     expected = oracle_multiply(a, b)
     sa_product, sa_cycles = shift_add_multiply(a, b)
-    sim = simulate(a, b, cfg)
+    try:
+        sim = simulate(a, b, cfg)
+    except WidthOverflowError as exc:
+        raise ProductMismatchError(f"a={a.to_hex()} b={b.to_hex()}: {exc}") from exc
     if not (expected.value == sa_product.value == sim.product.value):
         raise ProductMismatchError(
             f"a={a.to_hex()} b={b.to_hex()}: oracle={expected.to_hex()} "

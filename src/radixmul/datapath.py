@@ -22,7 +22,6 @@ __all__ = [
     "ControlError",
     "CsaResult",
     "DigitDecomposition",
-    "MultipleTable",
     "barrel_shift",
     "build_multiple_table",
     "central_adder_step",
@@ -85,33 +84,6 @@ def decompose_digit(d: Digit) -> DigitDecomposition:
     return DigitDecomposition(core, shift)
 
 
-class MultipleTable:
-    """Odd multiples of the multiplicand, as the initial adders build them.
-
-    Only odd multiples are stored; every even multiple is an odd entry
-    shifted left, which the barrel shifter supplies later. Entries are
-    width(A) + k bits wide, enough for any multiple up to (2^k - 1)*A.
-    The constant-zero mux line is carried as ``zero``. That the ladder
-    never multiplies is checked on the source, by
-    tests/test_modelling_rules.py.
-    """
-
-    __slots__ = ("k", "width", "entries", "zero")
-
-    def __init__(self, k: int, width: int, entries: dict[int, Word]):
-        self.k = k
-        self.width = width
-        self.entries = entries
-        self.zero = Word(0, width)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(f"{m}: {w.value}" for m, w in sorted(self.entries.items()))
-        return f"MultipleTable(k={self.k}, {{{pairs}}})"
-
-
 def _ladder(base: int, k: int) -> dict[int, int]:
     # the initial adders on plain ints: each odd multiple m of base is the
     # even multiple m - 1, a smaller odd entry shifted as the control table
@@ -125,7 +97,7 @@ def _ladder(base: int, k: int) -> dict[int, int]:
     return odd
 
 
-def build_multiple_table(a: Word, k: int) -> MultipleTable:
+def build_multiple_table(a: Word, k: int) -> dict[int, Word]:
     """Run the initial-adder ladder over the multiplicand.
 
     Even multiples are shifts of smaller entries and each odd multiple
@@ -136,29 +108,32 @@ def build_multiple_table(a: Word, k: int) -> MultipleTable:
     multiple's index). The ladder runs on plain integers with one shift
     and one add per step, never a multiplication; that rule is checked
     on the source by tests/test_modelling_rules.py.
-    Each odd multiple is wrapped in a Word of width(A) + k bits once.
-    A k above 16, which SimConfig refuses too, raises ValueError: the
-    ladder and the control table grow as 2^k.
+    Only odd multiples are kept, keyed by multiple: every even multiple
+    is an odd entry shifted left, which the barrel shifter supplies
+    later. Each is wrapped once in a Word of width(A) + k bits, enough
+    for any multiple up to (2^k - 1)*A. A k above 16, which SimConfig
+    refuses too, raises ValueError: the ladder and the control table
+    grow as 2^k.
     """
     if k < 1:
         raise ValueError(f"digit width must be positive, got {k}")
-    width = a.width + k
-    entries = {m: Word(v, width) for m, v in _ladder(a.value, k).items()}
-    return MultipleTable(k, width, entries)
+    return {m: Word(v, a.width + k) for m, v in _ladder(a.value, k).items()}
 
 
-def mux_select(table: MultipleTable, odd_core: int) -> Word:
+def mux_select(table: dict[int, Word], odd_core: int) -> Word:
     """Pick the precomputed multiple for a decomposed digit.
 
-    Selection 0 routes the constant-zero line; anything even or outside
-    the table indicates broken control logic, not a data condition.
+    Selection 0 routes the mux's own constant-zero line, as wide as the
+    entries (entry 1, the multiplicand itself, is in every table);
+    anything even or outside the table indicates broken control logic,
+    not a data condition.
     """
     if odd_core == 0:
-        return table.zero
-    entry = table.entries.get(odd_core)
-    if entry is None:
-        raise ControlError(f"no mux input for selection {odd_core}")
-    return entry
+        return Word(0, table[1].width)
+    try:
+        return table[odd_core]
+    except KeyError:
+        raise ControlError(f"no mux input for selection {odd_core}") from None
 
 
 def barrel_shift(w: Word, shift: int, k: int) -> Word:

@@ -2,15 +2,16 @@ import random
 
 import pytest
 
-from radixmul import baseline
+from radixmul import baseline, engine
 from radixmul.baseline import (
     ProductMismatchError,
     compare,
     oracle_multiply,
     shift_add_multiply,
 )
+from radixmul.datapath import AdderSizingError
 from radixmul.engine import FlushPolicy, SimConfig
-from radixmul.word import WidthMismatchError, Word
+from radixmul.word import Digit, WidthMismatchError, Word
 
 
 class TestShiftAddMultiply:
@@ -127,6 +128,18 @@ class TestCompare:
             compare(Word(13, 6), Word(63, 6), cfg)
         assert str(exc.value) == (
             "a=0xd b=0x3f: reformed cycles 5, cycle_count_model gives 4")
+
+    def test_simulator_fault_raises_mismatch(self, monkeypatch):
+        # a residue past the 2^n bound is the simulator's fault on this
+        # pair, not an input error
+        def broken_step(residue, pp, k, adder_width):
+            return Digit(0, k), Word(1 << 7, adder_width)
+
+        monkeypatch.setattr(engine, "central_adder_step", broken_step)
+        with pytest.raises(ProductMismatchError) as exc:
+            compare(Word(63, 6), Word(63, 6), SimConfig(n=6, k=3))
+        assert str(exc.value) == "a=0x3f b=0x3f: residue 128 breaks the 2^n bound"
+        assert isinstance(exc.value.__cause__, AdderSizingError)
 
     def test_report_serialization(self):
         cfg = SimConfig(n=6, k=3, flush_policy=FlushPolicy.EARLY_STOP)

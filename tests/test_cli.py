@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from radixmul import baseline, cli
+from radixmul import baseline, cli, engine
 from radixmul.baseline import ProductMismatchError
 from radixmul.engine import simulate, verify_trace_dict
+from radixmul.word import Digit, Word
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -28,6 +29,15 @@ def one_cycle_too_many(monkeypatch):
         return res
 
     monkeypatch.setattr(baseline, "simulate", broken_simulate)
+
+
+@pytest.fixture
+def residue_past_bound(monkeypatch):
+    # a central adder whose every residue is 2^7, past n=6's 2^n bound
+    def broken_step(residue, pp, k, adder_width):
+        return Digit(0, k), Word(1 << 7, adder_width)
+
+    monkeypatch.setattr(engine, "central_adder_step", broken_step)
 
 
 class TestMul:
@@ -148,6 +158,13 @@ class TestVerify:
         assert "4096 pairs, 4096 failures" in out
         assert err == ("MISMATCH a=0x0 b=0x0: reformed cycles 3, "
                        "cycle_count_model gives 2\n")
+
+    def test_simulator_fault_is_a_failure(self, capsys, residue_past_bound):
+        # a fault inside the simulator names the pair and the run goes on
+        code, out, err = run(capsys, "verify", "--n", "6", "--exhaustive")
+        assert code == 1
+        assert out == "verify n=6 k=3 exhaustive: 4096 pairs, 4096 failures\n"
+        assert err == "MISMATCH a=0x0 b=0x0: residue 128 breaks the 2^n bound\n"
 
     @pytest.mark.parametrize("count", ["-3", "0"])
     def test_random_count_must_be_positive(self, capsys, count):
@@ -322,6 +339,12 @@ class TestCompare:
         assert out == ""
         assert err == ("error: a=0xd b=0x3f: reformed cycles 5, "
                        "cycle_count_model gives 4\n")
+
+    def test_simulator_fault_exits_one(self, capsys, residue_past_bound):
+        code, out, err = run(capsys, "compare", "--a", "63", "--b", "63", "--n", "6")
+        assert code == 1
+        assert out == ""
+        assert err == "error: a=0x3f b=0x3f: residue 128 breaks the 2^n bound\n"
 
 
 class TestParser:

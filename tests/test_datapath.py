@@ -70,23 +70,22 @@ class TestControlTable:
 class TestMultipleTable:
     def test_example_multiplicand(self):
         table = build_multiple_table(Word(13, 6), 3)
-        assert {m: w.value for m, w in table.entries.items()} == \
+        assert {m: w.value for m, w in table.items()} == \
             {1: 13, 3: 39, 5: 65, 7: 91}
 
     def test_zero_multiplicand(self):
         table = build_multiple_table(Word(0, 6), 3)
-        assert {m: w.value for m, w in table.entries.items()} == \
+        assert {m: w.value for m, w in table.items()} == \
             {1: 0, 3: 0, 5: 0, 7: 0}
 
     def test_unit_multiplicand(self):
         table = build_multiple_table(Word(1, 6), 3)
-        assert {m: w.value for m, w in table.entries.items()} == \
+        assert {m: w.value for m, w in table.items()} == \
             {1: 1, 3: 3, 5: 5, 7: 7}
 
     def test_entry_widths_uniform(self):
         table = build_multiple_table(Word(13, 6), 3)
-        assert all(w.width == 9 for w in table.entries.values())
-        assert table.zero.width == 9
+        assert all(w.width == 9 for w in table.values())
 
     def test_ladder_operation_counts(self):
         # one odd multiple per ladder step, plus the multiplicand itself
@@ -103,7 +102,7 @@ class TestMultipleTable:
     @given(st.integers(0, 2**16 - 1), st.integers(1, 8))
     def test_entries_are_exact_multiples(self, a, k):
         table = build_multiple_table(Word(a, 16), k)
-        for m, w in table.entries.items():
+        for m, w in table.items():
             assert w.value == m * a
 
 
@@ -113,8 +112,10 @@ class TestLadder:
     def test_integer_core_matches_table_and_native_multiply(self, a, k):
         odd = _ladder(a, k)
         table = build_multiple_table(Word(a, 16), k)
-        assert odd == {m: w.value for m, w in table.entries.items()}
+        assert odd == {m: w.value for m, w in table.items()}
         assert odd == {m: m * a for m in range(1, 1 << k, 2)}
+        assert build_multiple_table(Word(a, 16), k) == \
+            {m: Word(m * a, 16 + k) for m in range(1, 1 << k, 2)}
 
 
 class TestMuxSelect:

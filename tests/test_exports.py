@@ -55,12 +55,18 @@ def test_word_helpers_are_gone(name):
     assert not hasattr(word, name)
 
 
+_TABLE = datapath.build_multiple_table(word.Word(13, 6), 3)
+
+
 @pytest.mark.parametrize("owner,name", [
     (word.Word, "bit"),
     (word.Word, "bits"),
     (word.Word, "__int__"),
-    (datapath.MultipleTable, "ladder_adds"),
-    (datapath.MultipleTable, "ladder_shifts"),
+    # the multiple table is a plain dict of odd multiples; the ladder's
+    # step counts are read from _ladder alone
+    pytest.param(_TABLE, "ladder_adds", id="MultipleTable-ladder_adds"),
+    pytest.param(_TABLE, "ladder_shifts", id="MultipleTable-ladder_shifts"),
+    (datapath, "MultipleTable"),
     (cli, "SEED_ENV_VAR"),
 ], ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_unread_members_are_gone(owner, name):
