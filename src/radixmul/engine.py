@@ -7,13 +7,28 @@ product runs through the central adder, k product bits are emitted, and
 the remainder feeds back. Once the digits run out, flush cycles with a
 zero partial product drain the residue into the output registers.
 
-The loop runs the ladder, the digit decode, the mux and the barrel
-shift on plain ints and builds one Word per partial product. The digit
-decode is a lookup in the decoder's fixed per-k control table
+The loop is one integer kernel. The ladder (datapath._ladder), the
+digit decode, the mux, the barrel shift and the central adder
+(datapath._central_step, the core that central_adder_step wraps) all
+run on plain ints, and the residue, the partial product and the
+emitted bits are ints from cycle to cycle. Word appears only at the
+boundary: the operands' widths are checked on entry, and
+assemble_product wraps the 2n-bit product on exit. The digit decode is
+a lookup in the decoder's fixed per-k control table
 (datapath._controls), the same table that wires the ladder. The
 Word-level blocks (word.split_digits and datapath's decompose_digit,
-build_multiple_table, mux_select and barrel_shift) are the reference
-that the tests cross-check it against, record by record.
+build_multiple_table, mux_select, barrel_shift and central_adder_step)
+are the reference that the tests cross-check it against, record by
+record.
+
+The width checks that per-cycle Words would make are made on the ints
+instead, each at least as strong: every ladder entry is checked once
+per run to fit in n + k bits, so every partial product (an entry
+shifted by at most k - 1) fits the barrel shifter's n + 2k - 1 output
+bits; _central_step raises AdderSizingError when residue + pp reaches
+2^adder_width, which also bounds the residue; masking keeps the
+emitted bits within k; and a residue that reaches 2^n raises
+AdderSizingError.
 
 The trace format lives in the writer, to_trace_dict and to_trace_json.
 verify_trace_dict reads only a document's inputs, computes the run
@@ -26,8 +41,8 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
 
-from .datapath import _MAX_K, AdderSizingError, _controls, _ladder, central_adder_step
-from .word import Word
+from .datapath import _MAX_K, AdderSizingError, _central_step, _controls, _ladder
+from .word import Word, WidthOverflowError
 
 __all__ = [
     "ConfigError",
@@ -185,13 +200,16 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
     product until the flush policy is met. A residue that reaches 2^n,
     the bound every valid run keeps, raises AdderSizingError.
 
-    The digit, the mux and the barrel shift work on plain ints over the
-    odd multiples of the initial-adder ladder, and each digit's mux
-    selection and shift count are one lookup in the per-k control
-    table, as a hardware decoder holds them; each nonzero digit's
-    partial product becomes one Word of n + 2k - 1 bits (the barrel
-    shifter's output width), and digit-0 and flush cycles share one
-    zero Word. Every cycle goes through central_adder_step.
+    The loop runs on plain ints: the digit, the mux and the barrel
+    shift work over the odd multiples of the initial-adder ladder, each
+    digit's mux selection and shift count are one lookup in the per-k
+    control table, as a hardware decoder holds them, and every cycle's
+    residue and partial product go through the central adder's integer
+    core, _central_step. Digit-0 and flush cycles feed a zero partial
+    product. No Digit is built, and the one Word built is the product.
+    A ladder entry of n + k bits or more, which would give a partial
+    product wider than the barrel shifter's n + 2k - 1 output bits,
+    raises WidthOverflowError before the first cycle.
     """
     if a.width != cfg.n or b.width != cfg.n:
         raise ConfigError(
@@ -200,34 +218,36 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
     k = cfg.k
     adder_width = cfg.adder_width
     odd = _ladder(a.value, k)
+    widest = max(odd.values())
+    if widest >> (cfg.n + k):
+        raise WidthOverflowError(
+            f"ladder entry {widest} does not fit in {cfg.n + k} bits"
+        )
     controls = _controls(k)
-    pp_width = cfg.n + 2 * k - 1
-    zero = Word(0, pp_width)
     multiplier = b.value
     mask = (1 << k) - 1
     digit_cycles = cfg.digit_cycles
     early_stop = cfg.flush_policy is FlushPolicy.EARLY_STOP
     target = cfg.full_width_cycles
-    residue = Word(0, adder_width)
+    residue = 0
     residue_bound = 1 << cfg.n
     trace: list[CycleRecord] = []
 
     cycle = 0
-    while cycle < digit_cycles or (residue.value if early_stop else cycle < target):
+    while cycle < digit_cycles or (residue if early_stop else cycle < target):
         if cycle < digit_cycles:
             digit = multiplier & mask
             multiplier >>= k
             odd_core, shift = controls[digit]
-            pp = Word(odd[odd_core] << shift, pp_width) if digit else zero
+            pp = odd[odd_core] << shift if digit else 0
         else:
-            digit, odd_core, shift, pp = None, 0, 0, zero
-        before = residue.value
-        emitted, residue = central_adder_step(residue, pp, k, adder_width)
-        after = residue.value
+            digit, odd_core, shift, pp = None, 0, 0, 0
+        emitted, after = _central_step(residue, pp, k, adder_width)
         if after >= residue_bound:
             raise AdderSizingError(f"residue {after} breaks the 2^n bound")
-        trace.append(CycleRecord(cycle, digit, odd_core, shift, pp.value,
-                                 before, after, emitted.value))
+        trace.append(CycleRecord(cycle, digit, odd_core, shift, pp,
+                                 residue, after, emitted))
+        residue = after
         cycle += 1
 
     product = assemble_product(trace, cfg.n, k)

@@ -1,12 +1,15 @@
 """Fixed-width unsigned bit vectors.
 
-Every operand, multiple and residue in the simulator is a Word: an
-unsigned value pinned to an explicit bit width, with bit 0 being the
-rightmost (least significant) bit. Overflow is always a hard error,
-never a silent wraparound, so that sizing bugs in the modeled datapath
-surface immediately instead of being masked. The Word and Digit
-constructors hold that check; code that shifts or adds does so on plain
-ints and wraps the result in a new Word, which checks it.
+Every operand and product of the simulator, and every multiple,
+partial product and residue the Word-level datapath blocks hand out, is
+a Word: an unsigned value pinned to an explicit bit width, with bit 0
+being the rightmost (least significant) bit. Overflow is always a hard
+error, never a silent wraparound, so that sizing bugs in the modeled
+datapath surface immediately instead of being masked. The Word and
+Digit constructors hold that check; the blocks shift and add on plain
+ints and wrap each result in a new Word, which checks it. The
+simulator's cycle loop runs on the ints alone and makes the same checks
+on them (engine's module docstring lists them).
 
 Binary text is printed and parsed MSB-first, matching how humans write
 binary literals.

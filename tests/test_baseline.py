@@ -11,7 +11,7 @@ from radixmul.baseline import (
 )
 from radixmul.datapath import AdderSizingError
 from radixmul.engine import FlushPolicy, SimConfig
-from radixmul.word import Digit, WidthMismatchError, Word
+from radixmul.word import WidthMismatchError, WidthOverflowError, Word
 
 
 class TestShiftAddMultiply:
@@ -133,13 +133,22 @@ class TestCompare:
         # a residue past the 2^n bound is the simulator's fault on this
         # pair, not an input error
         def broken_step(residue, pp, k, adder_width):
-            return Digit(0, k), Word(1 << 7, adder_width)
+            return 0, 1 << 7
 
-        monkeypatch.setattr(engine, "central_adder_step", broken_step)
+        monkeypatch.setattr(engine, "_central_step", broken_step)
         with pytest.raises(ProductMismatchError) as exc:
             compare(Word(63, 6), Word(63, 6), SimConfig(n=6, k=3))
         assert str(exc.value) == "a=0x3f b=0x3f: residue 128 breaks the 2^n bound"
         assert isinstance(exc.value.__cause__, AdderSizingError)
+
+    def test_ladder_fault_raises_mismatch(self, monkeypatch):
+        # a ladder entry too wide for the barrel shifter is the simulator's
+        # fault on this pair too
+        monkeypatch.setattr(engine, "_ladder", lambda base, k: {1: 1 << 9})
+        with pytest.raises(ProductMismatchError) as exc:
+            compare(Word(63, 6), Word(63, 6), SimConfig(n=6, k=3))
+        assert str(exc.value) == "a=0x3f b=0x3f: ladder entry 512 does not fit in 9 bits"
+        assert type(exc.value.__cause__) is WidthOverflowError
 
     def test_report_serialization(self):
         cfg = SimConfig(n=6, k=3, flush_policy=FlushPolicy.EARLY_STOP)

@@ -9,7 +9,6 @@ import pytest
 from radixmul import baseline, cli, engine
 from radixmul.baseline import ProductMismatchError
 from radixmul.engine import simulate, verify_trace_dict
-from radixmul.word import Digit, Word
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -35,9 +34,18 @@ def one_cycle_too_many(monkeypatch):
 def residue_past_bound(monkeypatch):
     # a central adder whose every residue is 2^7, past n=6's 2^n bound
     def broken_step(residue, pp, k, adder_width):
-        return Digit(0, k), Word(1 << 7, adder_width)
+        return 0, 1 << 7
 
-    monkeypatch.setattr(engine, "central_adder_step", broken_step)
+    monkeypatch.setattr(engine, "_central_step", broken_step)
+
+
+@pytest.fixture
+def ladder_past_width(monkeypatch):
+    # an initial-adder ladder whose entry 1 is 2^9, past n=6 k=3's n + k bits
+    def broken_ladder(base, k):
+        return {1: 1 << 9}
+
+    monkeypatch.setattr(engine, "_ladder", broken_ladder)
 
 
 class TestMul:
@@ -165,6 +173,12 @@ class TestVerify:
         assert code == 1
         assert out == "verify n=6 k=3 exhaustive: 4096 pairs, 4096 failures\n"
         assert err == "MISMATCH a=0x0 b=0x0: residue 128 breaks the 2^n bound\n"
+
+    def test_ladder_fault_is_a_failure(self, capsys, ladder_past_width):
+        code, out, err = run(capsys, "verify", "--n", "6", "--exhaustive")
+        assert code == 1
+        assert out == "verify n=6 k=3 exhaustive: 4096 pairs, 4096 failures\n"
+        assert err == "MISMATCH a=0x0 b=0x0: ladder entry 512 does not fit in 9 bits\n"
 
     @pytest.mark.parametrize("count", ["-3", "0"])
     def test_random_count_must_be_positive(self, capsys, count):
@@ -345,6 +359,12 @@ class TestCompare:
         assert code == 1
         assert out == ""
         assert err == "error: a=0x3f b=0x3f: residue 128 breaks the 2^n bound\n"
+
+    def test_ladder_fault_exits_one(self, capsys, ladder_past_width):
+        code, out, err = run(capsys, "compare", "--a", "63", "--b", "63", "--n", "6")
+        assert code == 1
+        assert out == ""
+        assert err == "error: a=0x3f b=0x3f: ladder entry 512 does not fit in 9 bits\n"
 
 
 class TestParser:

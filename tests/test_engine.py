@@ -12,6 +12,7 @@ from radixmul.datapath import (
     AdderSizingError,
     barrel_shift,
     build_multiple_table,
+    central_adder_step,
     decompose_digit,
     mux_select,
 )
@@ -317,9 +318,9 @@ class TestCycleInvariants:
         cfg = SimConfig(n=4, k=2)
 
         def oversized(residue, pp, k, adder_width):
-            return Digit(0, k), Word(1 << (cfg.n + 1), adder_width)
+            return 0, 1 << (cfg.n + 1)
 
-        monkeypatch.setattr(engine, "central_adder_step", oversized)
+        monkeypatch.setattr(engine, "_central_step", oversized)
         with pytest.raises(AdderSizingError, match="bound"):
             simulate(Word(1, 4), Word(1, 4), cfg)
 
@@ -328,14 +329,29 @@ class TestCycleInvariants:
         cfg = SimConfig(n=4, k=2)
 
         def step(residue, pp, k, adder_width):
-            return Digit(0, k), Word((1 << cfg.n) + offset, adder_width)
+            return 0, (1 << cfg.n) + offset
 
-        monkeypatch.setattr(engine, "central_adder_step", step)
+        monkeypatch.setattr(engine, "_central_step", step)
         if raises:
             with pytest.raises(AdderSizingError, match="bound"):
                 simulate(Word(1, 4), Word(1, 4), cfg)
         else:
             assert simulate(Word(1, 4), Word(1, 4), cfg).cycles == cfg.full_width_cycles
+
+    @pytest.mark.parametrize("offset,raises", [(-1, False), (0, True)])
+    def test_ladder_entries_must_fit_n_plus_k_bits(self, monkeypatch, offset, raises):
+        # every partial product is a ladder entry shifted by at most k - 1, so
+        # entries below 2^(n+k) keep it in the barrel shifter's n + 2k - 1
+        # bits; the check covers every entry, selected by a digit or not
+        cfg = SimConfig(n=4, k=2)
+        monkeypatch.setattr(engine, "_ladder",
+                            lambda base, k: {1: base, 3: (1 << (cfg.n + k)) + offset})
+        if raises:
+            with pytest.raises(WidthOverflowError,
+                               match="^ladder entry 64 does not fit in 6 bits$"):
+                simulate(Word(1, 4), Word(1, 4), cfg)
+        else:
+            assert simulate(Word(1, 4), Word(1, 4), cfg).product.value == 1
 
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 8)
                                      for k in range(1, n + 1)])
@@ -358,18 +374,26 @@ class TestCycleInvariants:
 
 
 def assert_decode_matches_reference(res, table):
-    # every record's digit, controls and partial product as the Word-level
-    # blocks produce them; flush records carry no digit and the zero line
-    k = res.config.k
+    # every record's digit, controls, partial product, emitted bits and
+    # residues as the Word-level blocks produce them; flush records carry no
+    # digit and the zero line, and each residue is the one fed back before it
+    cfg = res.config
+    k, aw = cfg.k, cfg.adder_width
     digits = [d.value for d in split_digits(res.b, k)]
     assert [r.digit for r in res.trace] == \
         digits + [None] * (len(res.trace) - len(digits))
+    fed_back = 0
     for r in res.trace:
         if r.digit is not None:
             assert tuple(decompose_digit(Digit(r.digit, k))) == (r.odd_core, r.shift)
         else:
             assert (r.odd_core, r.shift) == (0, 0)
         assert barrel_shift(mux_select(table, r.odd_core), r.shift, k).value == r.pp
+        emitted, after = central_adder_step(Word(r.residue_before, aw),
+                                            Word(r.pp, cfg.n + 2 * k - 1), k, aw)
+        assert (emitted, after) == (Digit(r.emitted, k), Word(r.residue_after, aw))
+        assert r.residue_before == fed_back
+        fed_back = r.residue_after
 
 
 class TestDecodeMatchesReferenceBlocks:
@@ -410,8 +434,8 @@ class TestDecodeMatchesReferenceBlocks:
         assert_decode_matches_reference(wider, build_multiple_table(a, 4))
 
     def test_allocation_budget(self, monkeypatch):
-        # all-ones n=16 k=3: 6 partial products, 11 residues, the initial
-        # residue, the zero line and the product; one Digit per cycle
+        # all-ones n=16 k=3: the loop runs on ints, so the product is the
+        # one Word built and no Digit is
         built = {Word: 0, Digit: 0}
 
         def count(cls):
@@ -429,8 +453,8 @@ class TestDecodeMatchesReferenceBlocks:
         count(Digit)
         res = simulate(a, b, cfg)
         assert res.cycles == 11 and res.product.value == 0xFFFF * 0xFFFF
-        assert built[Word] <= 20
-        assert built[Digit] == 11
+        assert built[Word] == 1
+        assert built[Digit] == 0
 
 
 class TestCycleCountModel:
