@@ -5,7 +5,10 @@ multiplicand, the digit decomposition that drives the multiplexer and
 barrel-shifter controls (held, as a decoder holds it, in one fixed
 table per digit width), the 3:2 carry-save compression, the
 ripple-carry completion, and the composed central-adder step that
-emits k product bits per cycle and feeds the rest back.
+emits k product bits per cycle and feeds the rest back. The central
+adder has one implementation, on plain ints (_central_step), which the
+simulator runs every cycle; the decoder, ladder, mux, shifter, CSA and
+RCA keep Word-level views as well.
 
 No native multiplication happens anywhere in this module: multiples
 come only from shifting and adding, exactly as the modeled circuit
@@ -24,7 +27,6 @@ __all__ = [
     "DigitDecomposition",
     "barrel_shift",
     "build_multiple_table",
-    "central_adder_step",
     "csa",
     "decompose_digit",
     "mux_select",
@@ -208,18 +210,3 @@ def rca(x: Word, y: Word, carry_in: int = 0) -> tuple[Word, int]:
     total = _ripple(x.value, y.value, carry_in)
     return Word(total & ((1 << width) - 1), width), total >> width
 
-
-def central_adder_step(residue: Word, pp: Word, k: int,
-                       adder_width: int) -> tuple[Digit, Word]:
-    """One accumulation cycle of the central adder.
-
-    The fed-back residue and the cycle's partial product go through the
-    CSA stage, the RCA resolves sum and carry into one word, the k low
-    bits are emitted to the output registers, and the remaining high
-    bits become the next residue. The one sizing rule: AdderSizingError
-    is raised exactly when residue + pp >= 2^adder_width, i.e. the
-    modeled adder has too few input lines for the sum. An operand wider
-    than the adder, or a CSA carry that overflows it, implies that.
-    """
-    emitted, rest = _central_step(residue.value, pp.value, k, adder_width)
-    return Digit(emitted, k), Word(rest, adder_width)

@@ -9,17 +9,17 @@ zero partial product drain the residue into the output registers.
 
 The loop is one integer kernel. The ladder (datapath._ladder), the
 digit decode, the mux, the barrel shift and the central adder
-(datapath._central_step, the core that central_adder_step wraps) all
-run on plain ints, and the residue, the partial product and the
-emitted bits are ints from cycle to cycle. Word appears only at the
-boundary: the operands' widths are checked on entry, and
-assemble_product wraps the 2n-bit product on exit. The digit decode is
-a lookup in the decoder's fixed per-k control table
-(datapath._controls), the same table that wires the ladder. The
-Word-level blocks (word.split_digits and datapath's decompose_digit,
-build_multiple_table, mux_select, barrel_shift and central_adder_step)
-are the reference that the tests cross-check it against, record by
-record.
+(datapath._central_step, its one implementation) all run on plain
+ints, and the residue, the partial product and the emitted bits are
+ints from cycle to cycle. Word appears only at the boundary: the
+operands' widths are checked on entry, and assemble_product wraps the
+2n-bit product on exit. The digit decode is a lookup in the decoder's
+fixed per-k control table (datapath._controls), the same table that
+wires the ladder. The tests check every record against _native_run,
+the independent model that the trace checker also trusts, and the
+decode, mux and shift of every record against datapath's Word-level
+views of the decoder, mux and shifter (decompose_digit, mux_select,
+barrel_shift) over the ladder's build_multiple_table.
 
 The width checks that per-cycle Words would make are made on the ints
 instead, each at least as strong: every ladder entry is checked once
@@ -85,7 +85,7 @@ _CONFIG_TYPES = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Datapath geometry and timing parameters.
 
@@ -100,7 +100,10 @@ class SimConfig:
     the sum shifted right by k, is below 2^n again, and n + k lines hold
     every sum. The enforced floor is still n + k + 2 lines, two above
     what that proof needs. k is at most 16: the ladder and the decoder's
-    control table grow as 2^k.
+    control table grow as 2^k. A config is frozen, and so hashable, and
+    the checks hold for its lifetime: assigning a field raises
+    dataclasses.FrozenInstanceError, and dataclasses.replace builds a
+    new config through the same checks.
     """
 
     n: int = 16
@@ -118,9 +121,9 @@ class SimConfig:
                 raise ConfigError(f"{name} is {value!r} ({type(value).__name__}), "
                                   f"need {need}")
         if self.adder_width is None:
-            self.adder_width = self.n + 3 * self.k
+            object.__setattr__(self, "adder_width", self.n + 3 * self.k)
         try:
-            self.flush_policy = FlushPolicy(self.flush_policy)
+            object.__setattr__(self, "flush_policy", FlushPolicy(self.flush_policy))
         except ValueError:
             raise ConfigError(f"unknown flush policy {self.flush_policy!r}") from None
         if not 1 <= self.k <= self.n:

@@ -1,13 +1,14 @@
 """Fixed-width unsigned bit vectors.
 
-Every operand and product of the simulator, and every multiple,
-partial product and residue the Word-level datapath blocks hand out, is
-a Word: an unsigned value pinned to an explicit bit width, with bit 0
-being the rightmost (least significant) bit. Overflow is always a hard
-error, never a silent wraparound, so that sizing bugs in the modeled
-datapath surface immediately instead of being masked. The Word and
-Digit constructors hold that check; the blocks shift and add on plain
-ints and wrap each result in a new Word, which checks it. The
+Every operand and product of the simulator is a Word: an unsigned
+value pinned to an explicit bit width, with bit 0 being the rightmost
+(least significant) bit. So is every multiple, partial product, sum
+and carry handed out by datapath's Word-level views of the ladder, mux,
+shifter, CSA and RCA, and the decoder's view reads a Digit. Overflow is
+always a hard error, never a silent wraparound, so that sizing bugs in
+the modeled datapath surface immediately instead of being masked. The
+Word and Digit constructors hold that check; the views shift and add on
+plain ints and wrap each result in a new Word, which checks it. The
 simulator's cycle loop runs on the ints alone and makes the same checks
 on them (engine's module docstring lists them).
 
@@ -23,7 +24,6 @@ __all__ = [
     "parse_binary",
     "parse_uint",
     "parse_word",
-    "split_digits",
 ]
 
 
@@ -90,21 +90,6 @@ class Digit:
 
     def __repr__(self) -> str:
         return f"Digit(0b{format(self.value, f'0{self.k}b')}, k={self.k})"
-
-
-def split_digits(b: Word, k: int) -> list[Digit]:
-    """Chop a word into k-bit digits, LSB digit first.
-
-    The word is implicitly padded with zeros at the MSB end up to the
-    next multiple of k, so a 16-bit multiplier split into 3-bit digits
-    yields 6 of them. Recomposition sum(digit_i * 2^(i*k)) recovers the
-    original value.
-    """
-    if k < 1:
-        raise ValueError(f"digit width must be positive, got {k}")
-    count = -(-b.width // k)
-    mask = (1 << k) - 1
-    return [Digit((b.value >> (i * k)) & mask, k) for i in range(count)]
 
 
 def parse_binary(text: str) -> int:

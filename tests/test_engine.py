@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -12,7 +13,6 @@ from radixmul.datapath import (
     AdderSizingError,
     barrel_shift,
     build_multiple_table,
-    central_adder_step,
     decompose_digit,
     mux_select,
 )
@@ -28,7 +28,7 @@ from radixmul.engine import (
     to_trace_json,
     verify_trace_dict,
 )
-from radixmul.word import Digit, Word, WidthOverflowError, split_digits
+from radixmul.word import Digit, Word, WidthOverflowError
 
 DATA = Path(__file__).parent / "data"
 
@@ -194,6 +194,30 @@ class TestSimConfig:
         # 30.0 + 2 * 10**308 does not
         with pytest.raises(ConfigError, match="overflows a float"):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("name,value", [
+        ("n", 6), ("k", 0), ("adder_width", 5), ("clock_period_ns", 1.0),
+        ("load_delay_ns", 0.0), ("flush_policy", "early_stop"),
+    ])
+    def test_a_config_cannot_be_changed_after_its_checks(self, name, value):
+        # the checks run once, at construction, so no field may change after them
+        cfg = SimConfig(n=6)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+        assert cfg == SimConfig(n=6)
+        assert simulate(Word(13, 6), Word(1, 6), cfg).cycles == 4
+
+    def test_a_replaced_config_goes_through_the_checks(self):
+        cfg = SimConfig(n=6)
+        with pytest.raises(ConfigError, match="need 1 <= k <= n"):
+            dataclasses.replace(cfg, k=0)
+        early = dataclasses.replace(cfg, flush_policy="early_stop")
+        assert early.flush_policy is FlushPolicy.EARLY_STOP
+        assert simulate(Word(13, 6), Word(1, 6), early).cycles == 2
+
+    def test_equal_configs_hash_alike(self):
+        assert hash(SimConfig(n=16)) == hash(SimConfig())
+        assert len({SimConfig(), SimConfig(n=16, adder_width=25)}) == 1
 
 
 class TestWorkedExample:
@@ -374,26 +398,17 @@ class TestCycleInvariants:
 
 
 def assert_decode_matches_reference(res, table):
-    # every record's digit, controls, partial product, emitted bits and
-    # residues as the Word-level blocks produce them; flush records carry no
-    # digit and the zero line, and each residue is the one fed back before it
-    cfg = res.config
-    k, aw = cfg.k, cfg.adder_width
-    digits = [d.value for d in split_digits(res.b, k)]
-    assert [r.digit for r in res.trace] == \
-        digits + [None] * (len(res.trace) - len(digits))
-    fed_back = 0
+    # every record equals the one the native model gives (digit * a by
+    # multiplication, the adder as + and shifts), and its decode, mux and
+    # shift are what the Word-level views give; flush records carry the zero line
+    assert res.trace == engine._native_run(res.a, res.b, res.config).trace
+    k = res.config.k
     for r in res.trace:
         if r.digit is not None:
             assert tuple(decompose_digit(Digit(r.digit, k))) == (r.odd_core, r.shift)
         else:
             assert (r.odd_core, r.shift) == (0, 0)
         assert barrel_shift(mux_select(table, r.odd_core), r.shift, k).value == r.pp
-        emitted, after = central_adder_step(Word(r.residue_before, aw),
-                                            Word(r.pp, cfg.n + 2 * k - 1), k, aw)
-        assert (emitted, after) == (Digit(r.emitted, k), Word(r.residue_after, aw))
-        assert r.residue_before == fed_back
-        fed_back = r.residue_after
 
 
 class TestDecodeMatchesReferenceBlocks:

@@ -67,11 +67,21 @@ _TABLE = datapath.build_multiple_table(word.Word(13, 6), 3)
     pytest.param(_TABLE, "ladder_adds", id="MultipleTable-ladder_adds"),
     pytest.param(_TABLE, "ladder_shifts", id="MultipleTable-ladder_shifts"),
     (datapath, "MultipleTable"),
+    # the central adder is _central_step alone, and the digit stream is
+    # read off the multiplier inside the cycle loop
+    (datapath, "central_adder_step"),
+    (word, "split_digits"),
     (cli, "SEED_ENV_VAR"),
 ], ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_unread_members_are_gone(owner, name):
     # no path in the library, the demos or the benchmark read these
     assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize("name", ["central_adder_step", "split_digits"])
+def test_word_level_adder_and_digit_split_are_gone(name):
+    assert name not in radixmul.__all__
+    assert not hasattr(radixmul, name)
 
 
 def test_unchecked_trace_loader_is_gone():

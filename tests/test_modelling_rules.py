@@ -5,13 +5,13 @@ multiplying, and the CSA and the RCA ripple use only boolean
 operations. The value tests pass either way, so these read the syntax
 tree of datapath.py: no arithmetic operator beyond + and - anywhere in
 the module, and not even those in _csa and _ripple. The trace checker
-compares a document with a run it computes natively, so that run
-(engine._native_run) may read only the decoder's control table of the
-datapath, and never runs simulate or the central adder, Word-level or
-integer. simulate runs every cycle through the central adder's integer
-core and never through its Word-level view. Invariants
-raise typed errors, so no library module may hold an assert, which
-python -O strips.
+compares a document with a run it computes natively, and the tests
+check every record of simulate against that run, so that run
+(engine._native_run), the independent record reference, may read only
+the decoder's control table of the datapath, and never runs simulate
+or the central adder (_central_step, its one implementation). simulate
+runs every cycle through _central_step. Invariants raise typed errors,
+so no library module may hold an assert, which python -O strips.
 """
 
 import ast
@@ -79,14 +79,13 @@ def called(tree: ast.AST) -> set[str]:
 def test_the_native_run_reads_only_the_control_table_of_the_datapath():
     run = function("_native_run", ENGINE_TREE)
     assert names(run) & DATAPATH_NAMES == {"_controls"}
-    assert called(run) & {"simulate", "central_adder_step", "_central_step"} == set()
+    assert called(run) & {"simulate", "_central_step"} == set()
 
 
 def test_the_independence_check_sees_what_simulate_uses():
     tree = function("simulate", ENGINE_TREE)
     assert {"_controls", "_ladder", "_central_step"} <= names(tree) & DATAPATH_NAMES
     assert "_central_step" in called(tree)
-    assert "central_adder_step" not in called(tree)
     nested = ast.parse("def f(x):\n    return g(datapath.csa(x))\n")
     assert called(nested) == {"g", "csa"}
 

@@ -8,7 +8,6 @@ from radixmul.word import (
     parse_binary,
     parse_uint,
     parse_word,
-    split_digits,
 )
 
 
@@ -59,42 +58,6 @@ class TestDigit:
     def test_equality(self):
         assert Digit(5, 3) == Digit(5, 3)
         assert Digit(1, 1) != Digit(1, 2)
-
-
-class TestSplitDigits:
-    def test_all_ones_six_bit(self):
-        digits = split_digits(Word(63, 6), 3)
-        assert [d.value for d in digits] == [7, 7]
-        assert all(d.k == 3 for d in digits)
-
-    def test_sixteen_bit_gives_six_digits(self):
-        assert len(split_digits(Word(0xFFFF, 16), 3)) == 6
-        assert len(split_digits(Word(0, 16), 3)) == 6
-
-    def test_zero_word(self):
-        assert [d.value for d in split_digits(Word(0, 6), 3)] == [0, 0]
-
-    def test_digit_zero_is_lsb_chunk(self):
-        # 0b110001 -> LSB digit 001, then 110
-        digits = split_digits(Word(0b110001, 6), 3)
-        assert [d.value for d in digits] == [1, 6]
-
-    def test_wider_digit_than_word(self):
-        digits = split_digits(Word(13, 6), 8)
-        assert [d.value for d in digits] == [13]
-
-    def test_bad_k(self):
-        with pytest.raises(ValueError):
-            split_digits(Word(0, 4), 0)
-
-    @given(st.integers(1, 64).flatmap(
-        lambda w: st.tuples(st.just(w), st.integers(0, 2**w - 1))),
-        st.integers(1, 8))
-    def test_recomposition(self, width_value, k):
-        width, value = width_value
-        digits = split_digits(Word(value, width), k)
-        assert len(digits) == -(-width // k)
-        assert sum(d.value << (i * k) for i, d in enumerate(digits)) == value
 
 
 class TestParsing:
