@@ -15,11 +15,12 @@ ints from cycle to cycle. Word appears only at the boundary: the
 operands' widths are checked on entry, and assemble_product wraps the
 2n-bit product on exit. The digit decode is a lookup in the decoder's
 fixed per-k control table (datapath._controls), the same table that
-wires the ladder. The tests check every record against _native_run,
-the independent model that the trace checker also trusts, and the
-decode, mux and shift of every record against datapath's Word-level
-views of the decoder, mux and shifter (decompose_digit, mux_select,
-barrel_shift) over the ladder's build_multiple_table.
+wires the ladder. The independent model is the generator
+_native_records, which yields the run's records one at a time by
+native arithmetic. The trace checker reads it, and the tests check
+every record of simulate against it (through _native_run) and every
+record's decode, mux and shift against datapath's Word-level views
+(decompose_digit, mux_select, barrel_shift) over build_multiple_table.
 
 The width checks that per-cycle Words would make are made on the ints
 instead, each at least as strong: every ladder entry is checked once
@@ -31,12 +32,14 @@ emitted bits within k; and a residue that reaches 2^n raises
 AdderSizingError.
 
 The trace format lives in the writer, to_trace_dict and to_trace_json.
-verify_trace_dict reads only a document's inputs, computes the run
-natively (digit * a by multiplication, the adder as + and shifts) and
+verify_trace_dict reads only a document's inputs, walks its records
+beside those of _native_records (digit * a by multiplication, the
+adder as + and shifts), stopping at the first that differs, and
 accepts the document exactly when it is the one the writer gives.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
@@ -304,19 +307,22 @@ def to_trace_dict(result: SimResult) -> dict:
         "product": hex(result.product.value),
         "cycles": result.cycles,
         "total_time_ns": result.total_time_ns,
-        "trace": [
-            {
-                "cycle": r.cycle,
-                "digit": None if r.digit is None else hex(r.digit),
-                "odd_core": hex(r.odd_core),
-                "shift": r.shift,
-                "pp": hex(r.pp),
-                "residue_before": hex(r.residue_before),
-                "residue_after": hex(r.residue_after),
-                "emitted": hex(r.emitted),
-            }
-            for r in result.trace
-        ],
+        "trace": [_record_doc(r) for r in result.trace],
+    }
+
+
+def _record_doc(record: CycleRecord) -> dict:
+    # one record of the document's trace
+    cycle, digit, odd_core, shift, pp, before, after, emitted = record
+    return {
+        "cycle": cycle,
+        "digit": None if digit is None else hex(digit),
+        "odd_core": hex(odd_core),
+        "shift": shift,
+        "pp": hex(pp),
+        "residue_before": hex(before),
+        "residue_after": hex(after),
+        "emitted": hex(emitted),
     }
 
 
@@ -370,31 +376,37 @@ def to_trace_json(result: SimResult) -> str:
     )
 
 
-def _native_run(a: Word, b: Word, cfg: SimConfig) -> SimResult:
-    # the run as native arithmetic gives it: digit * a by multiplication and
-    # the central adder as + and shifts; of the datapath it shares only the
-    # decoder's control table, so it is a model independent of simulate
+def _native_records(a: Word, b: Word, cfg: SimConfig, cycles: int) -> Iterator[CycleRecord]:
+    # the run's records one at a time, digit * a by multiplication and the adder
+    # as + and shifts; of the datapath it shares only the decoder's control
+    # table, so it is a model independent of simulate
     k = cfg.k
     mask = (1 << k) - 1
     controls = _controls(k)
     digit_cycles = cfg.digit_cycles
-    cycles = cycle_count_model(a, b, cfg)
     residue = 0
-    trace = []
     for i in range(cycles):
         digit = (b.value >> i * k) & mask if i < digit_cycles else None
         odd_core, shift = controls[digit or 0]
         pp = (digit or 0) * a.value
         total = residue + pp
-        trace.append(CycleRecord(i, digit, odd_core, shift, pp, residue,
-                                 total >> k, total & mask))
+        yield CycleRecord(i, digit, odd_core, shift, pp, residue, total >> k, total & mask)
         residue = total >> k
+
+
+def _native_result(a: Word, b: Word, cfg: SimConfig, trace: list[CycleRecord]) -> SimResult:
+    # the native run with the given records: product a * b, one cycle per record
+    cycles = len(trace)
     return SimResult(a, b, cfg, Word(a.value * b.value, 2 * cfg.n), cycles,
                      cfg.total_time_ns(cycles), trace)
 
 
-# the order a rejected document is searched in: the run's inputs, then its
-# records, then what the records add up to
+def _native_run(a: Word, b: Word, cfg: SimConfig) -> SimResult:
+    records = _native_records(a, b, cfg, cycle_count_model(a, b, cfg))
+    return _native_result(a, b, cfg, list(records))
+
+
+# a document's keys, in the order the checker searches them
 _REPORT_ORDER = ("config", "a", "b", "trace", "product", "cycles", "total_time_ns")
 
 
@@ -405,44 +417,15 @@ def _difference(got, want, where: str) -> ValueError | None:
     if type(got) is not type(want):
         return ValueError(f"malformed trace document: {shown} is {got!r} "
                           f"({type(got).__name__}), need {type(want).__name__}")
-    if isinstance(want, dict):
-        if got.keys() != want.keys():
-            return ValueError(f"malformed trace document: {shown} has keys "
-                              f"{list(got)}, need {list(want)}")
-        parts = [(f"{where}.{key}" if where else key, got[key], w)
-                 for key, w in want.items() if _unlike(got[key], w)]
-    elif isinstance(want, list):
-        parts = [(f"{where}[{i}]", g, w)
-                 for i, (g, w) in enumerate(zip(got, want)) if _unlike(g, w)]
-    else:
+    if not isinstance(want, dict):
         return None if got == want else ValueError(f"{where} is {got!r}, the run gives {want!r}")
-    for path, g, w in parts:
-        if error := _difference(g, w, path):
+    if got.keys() != want.keys():
+        return ValueError(f"malformed trace document: {shown} has keys "
+                          f"{list(got)}, need {list(want)}")
+    for key, w in want.items():
+        if error := _difference(got[key], w, f"{where}.{key}" if where else key):
             return error
-    if len(got) != len(want):
-        return ValueError(f"{where} has {len(got)} entries, the run gives {len(want)}")
     return None
-
-
-def _unlike(got, want) -> bool:
-    # whether _difference may find something: a container equal under ==
-    # can still hold a true for a 1 or a 4.0 for a 4
-    return type(got) is not type(want) or got != want or isinstance(want, (dict, list))
-
-
-def _outline_error(doc, cfg: SimConfig, a: Word, b: Word, cycles: int) -> ValueError:
-    # why a document whose trace is not a list at least as long as the run is
-    # refused, found without building the run and in _difference's order: the
-    # document's type and keys, config, a and b, then the trace's type and length
-    if type(doc) is not dict or doc.keys() != set(_REPORT_ORDER):
-        return _difference(doc, dict.fromkeys(_REPORT_ORDER), "")
-    head = {"config": _config_doc(cfg), "a": hex(a.value), "b": hex(b.value)}
-    if error := _difference({key: doc[key] for key in head}, head, ""):
-        return error
-    trace = doc["trace"]
-    if type(trace) is not list:
-        return _difference(trace, [], "trace")
-    return ValueError(f"trace has {len(trace)} entries, the run gives {cycles}")
 
 
 def verify_trace_dict(doc: dict) -> SimResult:
@@ -452,21 +435,21 @@ def verify_trace_dict(doc: dict) -> SimResult:
     and b as Words. A missing input key or a wrongly typed input raises
     ValueError("malformed trace document: ..."), a config value
     SimConfig refuses raises ConfigError, and an a or b that does not
-    fit in n bits raises WidthOverflowError. The run is then computed
-    natively, and the document is accepted exactly when it equals
-    to_trace_dict(run) with cycle, shift, cycles and total_time_ns of
-    the run's types, so that a JSON true is not 1 and 4.0 is not 4.
+    fit in n bits raises WidthOverflowError. The document is accepted
+    exactly when it equals to_trace_dict of the native run, with cycle,
+    shift, cycles and total_time_ns of the run's types, so that a JSON
+    true is not 1 and 4.0 is not 4.
 
-    A rejected document raises ValueError naming the first field that
-    differs, searched as config, a, b, the records in order, product,
-    cycles and total_time_ns: "<path> is <got>, the run gives <want>"
-    for a wrong value, and "malformed trace document: ..." for a wrong
-    type or key set. The run is built only once the trace is a list at
-    least as long as the run (cycle_count_model), so the work is bounded
-    by the document's size: a trace shorter than its run gets "trace has
-    N entries, the run gives M" after any key, config, a or b
-    difference, and before any record's. The returned SimResult equals
-    the simulate result the document was written from.
+    One pass in document order raises ValueError naming the first field
+    that differs: "<path> is <got>, the run gives <want>" for a wrong
+    value, "malformed trace document: ..." for a wrong type or key set.
+    It checks the key set, config, a, b and the trace's type; a trace
+    shorter than its run (cycle_count_model) then gets "trace has N
+    entries, the run gives M"; then each record as _native_records
+    yields it, a too long trace, product, cycles and total_time_ns. It
+    stops at the first record that differs, so its time and memory grow
+    with the document. The returned SimResult equals the simulate result
+    the document was written from.
     """
     try:
         c = doc["config"]
@@ -475,15 +458,30 @@ def verify_trace_dict(doc: dict) -> SimResult:
         b = Word(int(doc["b"], 16), cfg.n)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed trace document: {exc!r}") from None
+    if type(doc) is not dict or doc.keys() != set(_REPORT_ORDER):
+        raise _difference(doc, dict.fromkeys(_REPORT_ORDER), "")
+    for key, want in (("config", _config_doc(cfg)), ("a", hex(a.value)), ("b", hex(b.value))):
+        if doc[key] != want:
+            raise _difference(doc[key], want, key)
+    trace = doc["trace"]
+    if type(trace) is not list:
+        raise _difference(trace, [], "trace")
     cycles = cycle_count_model(a, b, cfg)
-    trace = doc.get("trace") if type(doc) is dict else None
-    if type(trace) is not list or len(trace) < cycles:
-        raise _outline_error(doc, cfg, a, b, cycles)
-    run = _native_run(a, b, cfg)
-    want = to_trace_dict(run)
-    if (doc == want and type(doc["cycles"]) is int
-            and type(doc["total_time_ns"]) is type(run.total_time_ns)
-            and all(type(r["cycle"]) is int and type(r["shift"]) is int
-                    for r in doc["trace"])):
-        return run
-    raise _difference(doc, {key: want[key] for key in _REPORT_ORDER}, "")
+    wrong_length = ValueError(f"trace has {len(trace)} entries, the run gives {cycles}")
+    if len(trace) < cycles:
+        raise wrong_length
+    records = []
+    for row, record in zip(trace, _native_records(a, b, cfg, cycles)):
+        want = _record_doc(record)
+        if row != want or type(row["cycle"]) is not int or type(row["shift"]) is not int:
+            raise _difference(row, want, f"trace[{record.cycle}]")
+        records.append(record)
+    if len(trace) > cycles:
+        raise wrong_length
+    run = _native_result(a, b, cfg, records)
+    for key, want in (("product", hex(run.product.value)), ("cycles", run.cycles),
+                      ("total_time_ns", run.total_time_ns)):
+        got = doc[key]
+        if type(got) is not type(want) or got != want:
+            raise _difference(got, want, key)
+    return run

@@ -843,7 +843,11 @@ class TestWideTraceChecker:
 
 
 class TestCheckerWorkIsBoundedByTheDocument:
-    """A document of a few hundred bytes can name a run of 10^7 cycles."""
+    """A document of a few hundred bytes can name a run of 10^7 cycles.
+
+    The checker draws the native model's records one at a time and stops
+    at the first that differs, so each test counts the records drawn.
+    """
 
     @staticmethod
     def header(n, k, **changes):
@@ -854,15 +858,23 @@ class TestCheckerWorkIsBoundedByTheDocument:
         return doc | changes
 
     @pytest.fixture
-    def no_run(self, monkeypatch):
-        def refused(*args):
-            raise AssertionError("the run was built")
-        monkeypatch.setattr(engine, "_native_run", refused)
+    def drawn(self, monkeypatch):
+        # a one-item list: how many records the native model has yielded
+        count = [0]
+        native = engine._native_records
 
-    def test_a_short_trace_is_refused_without_building_the_run(self, no_run):
+        def counted(*args):
+            for record in native(*args):
+                count[0] += 1
+                yield record
+        monkeypatch.setattr(engine, "_native_records", counted)
+        return count
+
+    def test_a_short_trace_is_refused_without_building_the_run(self, drawn):
         with pytest.raises(ValueError) as info:
             verify_trace_dict(self.header(10**7, 1))
         assert str(info.value) == "trace has 0 entries, the run gives 20000000"
+        assert drawn == [0]
 
     @pytest.mark.parametrize("changes,message", [
         ({"extra": 0}, "malformed trace document: the document has keys ['config', 'a', "
@@ -873,18 +885,40 @@ class TestCheckerWorkIsBoundedByTheDocument:
         ({"trace": {}}, "malformed trace document: trace is {} (dict), need list"),
         ({"trace": [None] * 3}, "trace has 3 entries, the run gives 200"),
     ], ids=["keys", "a", "b", "type", "length"])
-    def test_the_header_is_searched_first(self, no_run, changes, message):
+    def test_the_header_is_searched_first(self, drawn, changes, message):
         with pytest.raises(ValueError) as info:
             verify_trace_dict(self.header(100, 1, **changes))
         assert str(info.value) == message
+        assert drawn == [0]
 
-    def test_a_bad_config_value_is_named_before_the_length(self, no_run):
+    def test_a_bad_config_value_is_named_before_the_length(self, drawn):
         doc = self.header(100, 1)
         doc["config"] = doc["config"] | {"adder_width": None}
         with pytest.raises(ValueError) as info:
             verify_trace_dict(doc)
         assert str(info.value) == ("malformed trace document: config.adder_width "
                                    "is None (NoneType), need int")
+        assert drawn == [0]
+
+    def test_a_wide_run_of_null_records_is_refused_at_its_first(self, drawn):
+        # 32000 records of a 16000-bit all-ones run, every one null: about
+        # 200 KB of JSON, refused after one native record
+        ones = hex((1 << 16000) - 1)
+        doc = self.header(16000, 1, a=ones, b=ones, trace=[None] * 32000)
+        with pytest.raises(ValueError) as info:
+            verify_trace_dict(doc)
+        assert str(info.value) == ("malformed trace document: trace[0] is None "
+                                   "(NoneType), need dict")
+        assert drawn[0] <= 1
+
+    def test_records_are_drawn_up_to_the_first_that_differs(self, drawn):
+        doc = json.loads((DATA / "mul_n64_k6.json").read_text(encoding="utf-8"))
+        doc["trace"][9] = None
+        with pytest.raises(ValueError) as info:
+            verify_trace_dict(doc)
+        assert str(info.value) == ("malformed trace document: trace[9] is None "
+                                   "(NoneType), need dict")
+        assert drawn == [10]
 
     def test_a_short_trace_is_named_before_a_bad_record(self):
         doc = to_trace_dict(simulate(Word(13, 6), Word(63, 6), cfg6()))

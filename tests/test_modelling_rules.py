@@ -5,11 +5,12 @@ multiplying, and the CSA and the RCA ripple use only boolean
 operations. The value tests pass either way, so these read the syntax
 tree of datapath.py: no arithmetic operator beyond + and - anywhere in
 the module, and not even those in _csa and _ripple. The trace checker
-compares a document with a run it computes natively, and the tests
-check every record of simulate against that run, so that run
-(engine._native_run), the independent record reference, may read only
-the decoder's control table of the datapath, and never runs simulate
-or the central adder (_central_step, its one implementation). simulate
+compares a document with the records that engine._native_records
+yields natively, and the tests check every record of simulate against
+them, so that generator, the independent record reference, may read
+only the decoder's control table of the datapath; neither it, the whole
+native run (_native_run) nor the checker runs simulate or the central
+adder (_central_step, its one implementation). simulate
 runs every cycle through _central_step. Invariants raise typed errors,
 so no library module may hold an assert, which python -O strips.
 """
@@ -77,9 +78,10 @@ def called(tree: ast.AST) -> set[str]:
 
 
 def test_the_native_run_reads_only_the_control_table_of_the_datapath():
-    run = function("_native_run", ENGINE_TREE)
-    assert names(run) & DATAPATH_NAMES == {"_controls"}
-    assert called(run) & {"simulate", "_central_step"} == set()
+    records = function("_native_records", ENGINE_TREE)
+    assert names(records) & DATAPATH_NAMES == {"_controls"}
+    for name in ("_native_records", "_native_result", "_native_run", "verify_trace_dict"):
+        assert called(function(name, ENGINE_TREE)) & {"simulate", "_central_step"} == set()
 
 
 def test_the_independence_check_sees_what_simulate_uses():
