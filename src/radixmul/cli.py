@@ -47,6 +47,15 @@ def _config_from_args(args) -> SimConfig:
                         if (value := getattr(args, f.name, None)) is not None})
 
 
+def _decimal(value: int) -> str:
+    # str() refuses an int past the interpreter's digit limit, a guard against
+    # its quadratic time; each line that shows a decimal shows the hex too
+    try:
+        return str(value)
+    except ValueError:
+        return f"(more than {sys.get_int_max_str_digits()} digits; see hex)"
+
+
 def _cmd_mul(args) -> int:
     cfg = _config_from_args(args)
     a = parse_word(args.a, cfg.n)
@@ -60,7 +69,7 @@ def _cmd_mul(args) -> int:
         print(doc)
     else:
         print(f"product (bin) {result.product.to_bin()}")
-        print(f"product (dec) {result.product.value}")
+        print(f"product (dec) {_decimal(result.product.value)}")
         print(f"product (hex) {result.product.to_hex()}")
         print(f"cycles        {result.cycles}")
         print(f"total_time_ns {result.total_time_ns:g}")
@@ -158,9 +167,9 @@ def _cmd_compare(args) -> int:
     if args.json:
         print(json.dumps(report.to_dict()))
     else:
-        print(f"a = {a.value} ({a.to_hex()}, bin {a.to_bin()})")
-        print(f"b = {b.value} ({b.to_hex()}, bin {b.to_bin()})")
-        print(f"product               = {report.product.value} "
+        print(f"a = {_decimal(a.value)} ({a.to_hex()}, bin {a.to_bin()})")
+        print(f"b = {_decimal(b.value)} ({b.to_hex()}, bin {b.to_bin()})")
+        print(f"product               = {_decimal(report.product.value)} "
               f"({report.product.to_hex()})")
         print(f"baseline cycles       = {report.baseline_cycles} "
               f"(shift-and-add, one per multiplier bit)")

@@ -10,17 +10,19 @@ zero partial product drain the residue into the output registers.
 The loop is one integer kernel. The ladder (datapath._ladder), the
 digit decode, the mux, the barrel shift and the central adder
 (datapath._central_step, its one implementation) all run on plain
-ints, and the residue, the partial product and the emitted bits are
-ints from cycle to cycle. Word appears only at the boundary: the
-operands' widths are checked on entry, and assemble_product wraps the
-2n-bit product on exit. The digit decode is a lookup in the decoder's
-fixed per-k control table (datapath._controls), the same table that
-wires the ladder. The independent model is the generator
-_native_records, which yields the run's records one at a time by
-native arithmetic. The trace checker reads it, and the tests check
-every record of simulate against it (through _native_run) and every
-record's decode, mux and shift against datapath's Word-level views
-(decompose_digit, mux_select, barrel_shift) over build_multiple_table.
+ints, and the residue, the partial product, the emitted bits and the
+product are ints from cycle to cycle: each cycle's emission is folded
+into the product at bit cycle * k, as the output registers shift it
+into place. Word appears only at the boundary: the operands' widths
+are checked on entry, and the 2n-bit product is wrapped on exit. The
+digit decode is a lookup in the decoder's fixed per-k control table
+(datapath._controls), the same table that wires the ladder. The
+independent model is the generator _native_records, which yields the
+run's records one at a time by native arithmetic. The trace checker
+reads it, and the tests check every record of simulate against it
+(through _native_run) and every record's decode, mux and shift against
+datapath's Word-level views (decompose_digit, mux_select,
+barrel_shift) over build_multiple_table.
 
 The width checks that per-cycle Words would make are made on the ints
 instead, each at least as strong: every ladder entry is checked once
@@ -28,8 +30,8 @@ per run to fit in n + k bits, so every partial product (an entry
 shifted by at most k - 1) fits the barrel shifter's n + 2k - 1 output
 bits; _central_step raises AdderSizingError when residue + pp reaches
 2^adder_width, which also bounds the residue; masking keeps the
-emitted bits within k; and a residue that reaches 2^n raises
-AdderSizingError.
+emitted bits within k; a residue that reaches 2^n raises
+AdderSizingError; and so does a product wider than its 2n-bit register.
 
 The trace format lives in the writer, to_trace_dict and to_trace_json.
 verify_trace_dict reads only a document's inputs, walks its records
@@ -53,7 +55,6 @@ __all__ = [
     "FlushPolicy",
     "SimConfig",
     "SimResult",
-    "assemble_product",
     "cycle_count_model",
     "simulate",
     "to_trace_dict",
@@ -180,19 +181,28 @@ class CycleRecord(NamedTuple):
 
 @dataclass
 class SimResult:
-    """Product, cycle/time accounting, and the full per-cycle trace."""
+    """A run's inputs, its 2n-bit product and its per-cycle records.
+
+    cycles (one per record), total_time_ns and digit_cycles are read-only.
+    """
 
     a: Word
     b: Word
     config: SimConfig
     product: Word
-    cycles: int
-    total_time_ns: float
     trace: list[CycleRecord] = field(repr=False)
 
     @property
+    def cycles(self) -> int:
+        return len(self.trace)
+
+    @property
+    def total_time_ns(self) -> float:
+        return self.config.total_time_ns(self.cycles)
+
+    @property
     def digit_cycles(self) -> int:
-        return sum(1 for r in self.trace if r.digit is not None)
+        return self.config.digit_cycles
 
 
 def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
@@ -201,10 +211,12 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
     Per cycle: take the next k-bit digit of b (LSB digits first), factor
     it into an odd core and a shift, select the precomputed multiple,
     barrel-shift it into the final partial product, and push it through
-    the central adder, which emits the k low bits and feeds the rest
-    back. Once the digits run out, flush cycles feed a zero partial
-    product until the flush policy is met. A residue that reaches 2^n,
-    the bound every valid run keeps, raises AdderSizingError.
+    the central adder, which emits the k low bits, folded into the
+    product at bit cycle * k, and feeds the rest back. Once the digits
+    run out, flush cycles feed a zero partial product until the flush
+    policy is met. A residue that reaches 2^n, the bound every valid run
+    keeps, raises AdderSizingError, as do emitted bits past the 2n-bit
+    product register.
 
     The loop runs on plain ints: the digit, the mux and the barrel
     shift work over the odd multiples of the initial-adder ladder, each
@@ -235,7 +247,7 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
     digit_cycles = cfg.digit_cycles
     early_stop = cfg.flush_policy is FlushPolicy.EARLY_STOP
     target = cfg.full_width_cycles
-    residue = 0
+    residue = product = 0
     residue_bound = 1 << cfg.n
     trace: list[CycleRecord] = []
 
@@ -253,29 +265,13 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
             raise AdderSizingError(f"residue {after} breaks the 2^n bound")
         trace.append(CycleRecord(cycle, digit, odd_core, shift, pp,
                                  residue, after, emitted))
+        product |= emitted << cycle * k
         residue = after
         cycle += 1
 
-    product = assemble_product(trace, cfg.n, k)
-    return SimResult(a, b, cfg, product, cycle, cfg.total_time_ns(cycle), trace)
-
-
-def assemble_product(records: list[CycleRecord], n: int, k: int) -> Word:
-    """Stitch per-cycle emissions into the 2n-bit product register.
-
-    Emission i lands at bit offset i*k, modeling the output registers
-    that shift each k-bit group into place.
-    """
-    if not records:
-        raise ValueError("no cycles recorded")
-    value = 0
-    for i, rec in enumerate(records):
-        value |= rec.emitted << (i * k)
-    if value >> (2 * n):
-        raise AdderSizingError(
-            f"emitted bits exceed the {2 * n}-bit product register"
-        )
-    return Word(value, 2 * n)
+    if product >> 2 * cfg.n:
+        raise AdderSizingError(f"emitted bits exceed the {2 * cfg.n}-bit product register")
+    return SimResult(a, b, cfg, Word(product, 2 * cfg.n), trace)
 
 
 def cycle_count_model(a: Word, b: Word, cfg: SimConfig) -> int:
@@ -394,16 +390,9 @@ def _native_records(a: Word, b: Word, cfg: SimConfig, cycles: int) -> Iterator[C
         residue = total >> k
 
 
-def _native_result(a: Word, b: Word, cfg: SimConfig, trace: list[CycleRecord]) -> SimResult:
-    # the native run with the given records: product a * b, one cycle per record
-    cycles = len(trace)
-    return SimResult(a, b, cfg, Word(a.value * b.value, 2 * cfg.n), cycles,
-                     cfg.total_time_ns(cycles), trace)
-
-
 def _native_run(a: Word, b: Word, cfg: SimConfig) -> SimResult:
-    records = _native_records(a, b, cfg, cycle_count_model(a, b, cfg))
-    return _native_result(a, b, cfg, list(records))
+    records = list(_native_records(a, b, cfg, cycle_count_model(a, b, cfg)))
+    return SimResult(a, b, cfg, Word(a.value * b.value, 2 * cfg.n), records)
 
 
 # a document's keys, in the order the checker searches them
@@ -478,7 +467,7 @@ def verify_trace_dict(doc: dict) -> SimResult:
         records.append(record)
     if len(trace) > cycles:
         raise wrong_length
-    run = _native_result(a, b, cfg, records)
+    run = SimResult(a, b, cfg, Word(a.value * b.value, 2 * cfg.n), records)
     for key, want in (("product", hex(run.product.value)), ("cycles", run.cycles),
                       ("total_time_ns", run.total_time_ns)):
         got = doc[key]

@@ -21,10 +21,11 @@ def run(capsys, *argv):
 
 @pytest.fixture
 def one_cycle_too_many(monkeypatch):
-    # a simulator that gets every product right and every cycle count wrong
+    # a simulator that gets every product right and every cycle count wrong:
+    # it repeats its last record
     def broken_simulate(a, b, cfg):
         res = simulate(a, b, cfg)
-        res.cycles += 1
+        res.trace.append(res.trace[-1])
         return res
 
     monkeypatch.setattr(baseline, "simulate", broken_simulate)
@@ -365,6 +366,62 @@ class TestCompare:
         assert code == 1
         assert out == ""
         assert err == "error: a=0x3f b=0x3f: ladder entry 512 does not fit in 9 bits\n"
+
+
+WIDE_N = 8000
+WIDE = (1 << WIDE_N) - 1  # its square has 16000 bits, 4817 decimal digits
+
+
+@pytest.fixture(params=["default limit", "no limit"])
+def digit_limit(request):
+    # the interpreter's limit on int-to-decimal conversion (0 for none), at
+    # its shipped default or lifted, as on builds that predate the limit
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield 0
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300 if request.param == "default limit" else 0)
+    try:
+        yield sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestWideDecimal:
+    # a product past the decimal digit limit is a valid result: its decimal
+    # names the limit, and its hex line holds every digit
+    @staticmethod
+    def decimal(value, limit):
+        return f"(more than {limit} digits; see hex)" if limit else str(value)
+
+    def test_mul(self, capsys, digit_limit):
+        code, out, err = run(capsys, "mul", "--a", hex(WIDE), "--b", hex(WIDE),
+                             "--n", str(WIDE_N), "--k", "16")
+        product = WIDE * WIDE
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            f"product (bin) {product:016000b}",
+            f"product (dec) {self.decimal(product, digit_limit)}",
+            f"product (hex) {product:#x}",
+            "cycles        1000",
+            "total_time_ns 40030",
+        ]
+
+    def test_compare(self, capsys, digit_limit):
+        code, out, err = run(capsys, "compare", "--a", hex(WIDE), "--b", hex(WIDE),
+                             "--n", str(WIDE_N), "--k", "16")
+        product = WIDE * WIDE
+        assert (code, err) == (0, "")
+        operand = f"{WIDE} ({WIDE:#x}, bin {'1' * WIDE_N})"
+        assert out.splitlines() == [
+            f"a = {operand}",
+            f"b = {operand}",
+            f"product               = {self.decimal(product, digit_limit)} ({product:#x})",
+            "baseline cycles       = 8000 (shift-and-add, one per multiplier bit)",
+            "reformed digit cycles = 500 (16 bits per cycle)",
+            "reformed total cycles = 1000 (flush included)",
+            "speedup (total)       = 8.00x",
+        ]
 
 
 class TestParser:

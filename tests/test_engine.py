@@ -18,10 +18,8 @@ from radixmul.datapath import (
 )
 from radixmul.engine import (
     ConfigError,
-    CycleRecord,
     FlushPolicy,
     SimConfig,
-    assemble_product,
     cycle_count_model,
     simulate,
     to_trace_dict,
@@ -501,29 +499,21 @@ class TestCycleCountModel:
             simulate(Word(a, n), Word(b, n), cfg).cycles
 
 
-class TestAssembleProduct:
-    @staticmethod
-    def records(emissions):
-        return [CycleRecord(i, None, 0, 0, 0, 0, 0, e)
-                for i, e in enumerate(emissions)]
+class TestProductRegister:
+    def test_overflowing_emissions_are_sizing_error(self, monkeypatch):
+        # n = 5, k = 3 runs 4 full-width cycles, 12 emitted bits for a
+        # 10-bit register; a last emission of 0b111 lands on bits 9-11
+        real_step = engine._central_step
+        cycle = iter(range(4))
 
-    def test_worked_example_digits(self):
-        assert assemble_product(self.records([0b011, 0b110, 0b100, 0b001]),
-                                6, 3) == Word(819, 12)
+        def last_emits_seven(residue, pp, k, adder_width):
+            emitted, after = real_step(residue, pp, k, adder_width)
+            return (0b111 if next(cycle) == 3 else emitted), after
 
-    def test_zeros(self):
-        assert assemble_product(self.records([0, 0, 0, 0]), 6, 3).value == 0
-
-    def test_single_digit(self):
-        assert assemble_product(self.records([5]), 3, 3) == Word(5, 6)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_product([], 6, 3)
-
-    def test_overflowing_emissions_are_sizing_error(self):
-        with pytest.raises(AdderSizingError):
-            assemble_product(self.records([7, 7, 7]), 3, 3)
+        monkeypatch.setattr(engine, "_central_step", last_emits_seven)
+        with pytest.raises(AdderSizingError) as exc:
+            simulate(Word(0, 5), Word(0, 5), SimConfig(n=5, k=3))
+        assert str(exc.value) == "emitted bits exceed the 10-bit product register"
 
 
 class TestTraceSerialization:
@@ -775,7 +765,7 @@ class TestWideTraceChecker:
     @staticmethod
     def rechain(doc, first):
         # recompute residues and emissions from record `first` on, and the
-        # product from every emission as assemble_product stitches it
+        # product from every emission as simulate folds it
         rows = doc["trace"]
         k = doc["config"]["k"]
         before = int(rows[first - 1]["residue_after"], 16) if first else 0

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import pytest
@@ -71,6 +72,10 @@ _TABLE = datapath.build_multiple_table(word.Word(13, 6), 3)
     # read off the multiplier inside the cycle loop
     (datapath, "central_adder_step"),
     (word, "split_digits"),
+    # simulate folds each emission into the product as the cycle runs, and
+    # every SimResult is built straight from its product and records
+    (engine, "assemble_product"),
+    (engine, "_native_result"),
     (cli, "SEED_ENV_VAR"),
 ], ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_unread_members_are_gone(owner, name):
@@ -82,6 +87,22 @@ def test_unread_members_are_gone(owner, name):
 def test_word_level_adder_and_digit_split_are_gone(name):
     assert name not in radixmul.__all__
     assert not hasattr(radixmul, name)
+
+
+def test_product_stitcher_is_gone():
+    assert "assemble_product" not in radixmul.__all__
+    assert not hasattr(radixmul, "assemble_product")
+
+
+def test_a_result_holds_only_what_a_run_produces():
+    # cycles, total_time_ns and digit_cycles are read from the records and
+    # the config, so no copy of them can disagree
+    assert [f.name for f in dataclasses.fields(engine.SimResult)] == [
+        "a", "b", "config", "product", "trace"]
+    res = engine.simulate(word.Word(13, 6), word.Word(63, 6), engine.SimConfig(n=6))
+    for name in ("cycles", "total_time_ns", "digit_cycles"):
+        with pytest.raises(AttributeError):
+            setattr(res, name, 1)
 
 
 def test_unchecked_trace_loader_is_gone():

@@ -80,7 +80,7 @@ def called(tree: ast.AST) -> set[str]:
 def test_the_native_run_reads_only_the_control_table_of_the_datapath():
     records = function("_native_records", ENGINE_TREE)
     assert names(records) & DATAPATH_NAMES == {"_controls"}
-    for name in ("_native_records", "_native_result", "_native_run", "verify_trace_dict"):
+    for name in ("_native_records", "_native_run", "verify_trace_dict"):
         assert called(function(name, ENGINE_TREE)) & {"simulate", "_central_step"} == set()
 
 
