@@ -4,12 +4,15 @@ Two independent routes check the digit-serial simulator: the classical
 one-bit-per-cycle shift-and-add multiplier, run on plain ints and
 sharing no code with the datapath (only the product is a Word), and a
 native wide-integer oracle. All three must agree on every product, and
-the simulator's cycle count must equal cycle_count_model's.
+the simulator's cycle count must equal cycle_count_model's. compare
+runs the simulator's cycle loop, engine._run, without records: it
+reads only the product and the cycle count, and only simulate keeps a
+record per cycle.
 """
 
 from dataclasses import dataclass, fields
 
-from .engine import SimConfig, cycle_count_model, simulate
+from .engine import SimConfig, _run, cycle_count_model
 from .word import Word, WidthMismatchError, WidthOverflowError
 
 __all__ = [
@@ -78,11 +81,14 @@ class ComparisonReport:
 
 
 def compare(a: Word, b: Word, cfg: SimConfig) -> ComparisonReport:
-    """Run oracle, shift-and-add, and the digit-serial simulator.
+    """Run oracle, shift-and-add, and the digit-serial cycle loop.
 
-    Any disagreement between the three products raises, and so does a
-    simulated cycle count that differs from cycle_count_model; the
-    report carries the agreed product and both cycle counts. A width
+    The cycle loop is engine._run, the kernel simulate runs, handed no
+    record list: compare reads only its product and cycle count, so no
+    CycleRecord is built. Any disagreement between the three products
+    raises, and so does a simulated cycle count that differs from
+    cycle_count_model; the report carries the agreed product and both
+    cycle counts, the digit cycles being cfg.digit_cycles. A width
     overflow inside the simulator (an adder or residue that its sizing
     rule says cannot overflow) is a fault of the simulator on this pair
     and raises ProductMismatchError too; operands that do not match
@@ -91,18 +97,18 @@ def compare(a: Word, b: Word, cfg: SimConfig) -> ComparisonReport:
     expected = oracle_multiply(a, b)
     sa_product, sa_cycles = shift_add_multiply(a, b)
     try:
-        sim = simulate(a, b, cfg)
+        product, cycles = _run(a, b, cfg, None)
     except WidthOverflowError as exc:
         raise ProductMismatchError(f"a={a.to_hex()} b={b.to_hex()}: {exc}") from exc
-    if not (expected.value == sa_product.value == sim.product.value):
+    if not (expected.value == sa_product.value == product):
         raise ProductMismatchError(
             f"a={a.to_hex()} b={b.to_hex()}: oracle={expected.to_hex()} "
-            f"shift_add={sa_product.to_hex()} reformed={sim.product.to_hex()}"
+            f"shift_add={sa_product.to_hex()} reformed={product:#x}"
         )
     model_cycles = cycle_count_model(a, b, cfg)
-    if sim.cycles != model_cycles:
+    if cycles != model_cycles:
         raise ProductMismatchError(
-            f"a={a.to_hex()} b={b.to_hex()}: reformed cycles {sim.cycles}, "
+            f"a={a.to_hex()} b={b.to_hex()}: reformed cycles {cycles}, "
             f"cycle_count_model gives {model_cycles}"
         )
     return ComparisonReport(
@@ -110,7 +116,7 @@ def compare(a: Word, b: Word, cfg: SimConfig) -> ComparisonReport:
         b=b,
         product=expected,
         baseline_cycles=sa_cycles,
-        reformed_cycles=sim.cycles,
-        reformed_digit_cycles=sim.digit_cycles,
-        speedup=sa_cycles / sim.cycles,
+        reformed_cycles=cycles,
+        reformed_digit_cycles=cfg.digit_cycles,
+        speedup=sa_cycles / cycles,
     )

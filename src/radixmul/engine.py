@@ -7,15 +7,19 @@ product runs through the central adder, k product bits are emitted, and
 the remainder feeds back. Once the digits run out, flush cycles with a
 zero partial product drain the residue into the output registers.
 
-The loop is one integer kernel. The ladder (datapath._ladder), the
-digit decode, the mux, the barrel shift and the central adder
+The loop is one integer kernel, _run. The ladder (datapath._ladder),
+the digit decode, the mux, the barrel shift and the central adder
 (datapath._central_step, its one implementation) all run on plain
 ints, and the residue, the partial product, the emitted bits and the
 product are ints from cycle to cycle: each cycle's emission is folded
 into the product at bit cycle * k, as the output registers shift it
-into place. Word appears only at the boundary: the operands' widths
-are checked on entry, and the 2n-bit product is wrapped on exit. The
-digit decode is a lookup in the decoder's fixed per-k control table
+into place. _run returns the product and the cycle count, and builds
+a CycleRecord per cycle only when it is handed a list: simulate hands
+it one and wraps the records in its SimResult, and baseline.compare,
+which reads only the product and the count, hands it None. Word
+appears only at the boundary: the operands' widths are checked on
+entry, and simulate wraps the 2n-bit product on exit. The digit
+decode is a lookup in the decoder's fixed per-k control table
 (datapath._controls), the same table that wires the ladder. The
 independent model is the generator _native_records, which yields the
 run's records one at a time by native arithmetic. The trace checker
@@ -206,7 +210,7 @@ class SimResult:
 
 
 def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
-    """Run the digit-serial multiplier cycle by cycle.
+    """Run the digit-serial multiplier cycle by cycle, recording every cycle.
 
     Per cycle: take the next k-bit digit of b (LSB digits first), factor
     it into an odd core and a shift, select the precomputed multiple,
@@ -218,17 +222,28 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
     keeps, raises AdderSizingError, as do emitted bits past the 2n-bit
     product register.
 
-    The loop runs on plain ints: the digit, the mux and the barrel
-    shift work over the odd multiples of the initial-adder ladder, each
-    digit's mux selection and shift count are one lookup in the per-k
-    control table, as a hardware decoder holds them, and every cycle's
-    residue and partial product go through the central adder's integer
-    core, _central_step. Digit-0 and flush cycles feed a zero partial
-    product. No Digit is built, and the one Word built is the product.
-    A ladder entry of n + k bits or more, which would give a partial
-    product wider than the barrel shifter's n + 2k - 1 output bits,
-    raises WidthOverflowError before the first cycle.
+    The loop is _run, the one integer kernel, which compare also runs
+    without records: the digit, the mux and the barrel shift work over
+    the odd multiples of the initial-adder ladder, each digit's mux
+    selection and shift count are one lookup in the per-k control table,
+    as a hardware decoder holds them, and every cycle's residue and
+    partial product go through the central adder's integer core,
+    _central_step. Digit-0 and flush cycles feed a zero partial product.
+    simulate hands _run a list, so one CycleRecord is kept per cycle. No
+    Digit is built, and the one Word built is the product. A ladder
+    entry of n + k bits or more, which would give a partial product
+    wider than the barrel shifter's n + 2k - 1 output bits, raises
+    WidthOverflowError before the first cycle.
     """
+    trace: list[CycleRecord] = []
+    product, _ = _run(a, b, cfg, trace)
+    return SimResult(a, b, cfg, Word(product, 2 * cfg.n), trace)
+
+
+def _run(a: Word, b: Word, cfg: SimConfig,
+         trace: list[CycleRecord] | None) -> tuple[int, int]:
+    # the cycle loop simulate documents: the product as an int and the cycle
+    # count, with one CycleRecord appended to trace per cycle when it is a list
     if a.width != cfg.n or b.width != cfg.n:
         raise ConfigError(
             f"operand widths ({a.width}, {b.width}) do not match n={cfg.n}"
@@ -249,7 +264,6 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
     target = cfg.full_width_cycles
     residue = product = 0
     residue_bound = 1 << cfg.n
-    trace: list[CycleRecord] = []
 
     cycle = 0
     while cycle < digit_cycles or (residue if early_stop else cycle < target):
@@ -263,15 +277,16 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
         emitted, after = _central_step(residue, pp, k, adder_width)
         if after >= residue_bound:
             raise AdderSizingError(f"residue {after} breaks the 2^n bound")
-        trace.append(CycleRecord(cycle, digit, odd_core, shift, pp,
-                                 residue, after, emitted))
+        if trace is not None:
+            trace.append(CycleRecord(cycle, digit, odd_core, shift, pp,
+                                     residue, after, emitted))
         product |= emitted << cycle * k
         residue = after
         cycle += 1
 
     if product >> 2 * cfg.n:
         raise AdderSizingError(f"emitted bits exceed the {2 * cfg.n}-bit product register")
-    return SimResult(a, b, cfg, Word(product, 2 * cfg.n), trace)
+    return product, cycle
 
 
 def cycle_count_model(a: Word, b: Word, cfg: SimConfig) -> int:

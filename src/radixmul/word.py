@@ -16,6 +16,9 @@ Binary text is printed and parsed MSB-first, matching how humans write
 binary literals.
 """
 
+import re
+import sys
+
 __all__ = [
     "Digit",
     "WidthMismatchError",
@@ -100,14 +103,29 @@ def parse_binary(text: str) -> int:
     return int(t, 2)
 
 
+# a decimal literal as int() reads it: a sign, then digits with single underscores
+_DECIMAL = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
 def parse_uint(text: str) -> int:
-    """Operand literal: 'bin:' MSB-first binary, '0x' hexadecimal, else decimal."""
+    """Operand literal: 'bin:' MSB-first binary, '0x' hexadecimal, else decimal.
+
+    A decimal literal longer than the interpreter's int-from-decimal digit
+    limit (a guard against its quadratic time) is refused by name, without
+    echoing its digits; hex and binary have no such limit.
+    """
     t = text.strip()
     if t.lower().startswith("bin:"):
         return parse_binary(t[4:])
     try:
         value = int(t, 16) if t.lower().startswith("0x") else int(t, 10)
     except ValueError:
+        if _DECIMAL.fullmatch(t):
+            digits = len(t.lstrip("+-").replace("_", ""))
+            raise ValueError(
+                f"decimal operand of {digits} digits is past the interpreter's "
+                f"{sys.get_int_max_str_digits()}-digit limit; give it as 0x or bin:"
+            ) from None
         raise ValueError(f"not an operand literal: {text!r}") from None
     if value < 0:
         raise ValueError(f"operand must be unsigned: {text!r}")

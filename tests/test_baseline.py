@@ -103,26 +103,22 @@ class TestCompare:
             assert report.product.value == a * b
 
     def test_mismatch_raises(self, monkeypatch):
-        from radixmul.engine import simulate as simulate_real
+        def broken_run(a, b, config, trace):
+            product, cycles = engine._run(a, b, config, trace)
+            return product ^ 1, cycles
 
-        def broken_simulate(a, b, config):
-            res = simulate_real(a, b, config)
-            res.product = Word(res.product.value ^ 1, res.product.width)
-            return res
-
-        monkeypatch.setattr(baseline, "simulate", broken_simulate)
-        with pytest.raises(ProductMismatchError):
+        monkeypatch.setattr(baseline, "_run", broken_run)
+        with pytest.raises(ProductMismatchError) as exc:
             compare(Word(13, 6), Word(63, 6), SimConfig(n=6, k=3))
+        assert str(exc.value) == (
+            "a=0xd b=0x3f: oracle=0x333 shift_add=0x333 reformed=0x332")
 
     def test_cycle_count_mismatch_raises(self, monkeypatch):
-        from radixmul.engine import simulate as simulate_real
+        def one_cycle_too_many(a, b, config, trace):
+            product, cycles = engine._run(a, b, config, trace)
+            return product, cycles + 1
 
-        def one_cycle_too_many(a, b, config):
-            res = simulate_real(a, b, config)
-            res.trace.append(res.trace[-1])
-            return res
-
-        monkeypatch.setattr(baseline, "simulate", one_cycle_too_many)
+        monkeypatch.setattr(baseline, "_run", one_cycle_too_many)
         cfg = SimConfig(n=6, k=3, flush_policy=FlushPolicy.EARLY_STOP)
         with pytest.raises(ProductMismatchError) as exc:
             compare(Word(13, 6), Word(63, 6), cfg)
@@ -149,6 +145,21 @@ class TestCompare:
             compare(Word(63, 6), Word(63, 6), SimConfig(n=6, k=3))
         assert str(exc.value) == "a=0x3f b=0x3f: ladder entry 512 does not fit in 9 bits"
         assert type(exc.value.__cause__) is WidthOverflowError
+
+    def test_builds_no_cycle_record(self, monkeypatch):
+        # compare reads only the product and the cycle count, so its run
+        # keeps no records; simulate shows that the patch bites
+        class NoRecord:
+            def __new__(cls, *fields):
+                raise AssertionError("a CycleRecord was built")
+
+        monkeypatch.setattr(engine, "CycleRecord", NoRecord)
+        a = b = Word(0xFFFF, 16)
+        for policy in FlushPolicy:
+            report = compare(a, b, SimConfig(n=16, flush_policy=policy))
+            assert (report.product.value, report.reformed_cycles) == (0xFFFF * 0xFFFF, 11)
+        with pytest.raises(AssertionError, match="a CycleRecord was built"):
+            engine.simulate(a, b, SimConfig(n=16))
 
     def test_report_serialization(self):
         cfg = SimConfig(n=6, k=3, flush_policy=FlushPolicy.EARLY_STOP)

@@ -8,7 +8,7 @@ import pytest
 
 from radixmul import baseline, cli, engine
 from radixmul.baseline import ProductMismatchError
-from radixmul.engine import simulate, verify_trace_dict
+from radixmul.engine import verify_trace_dict
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -21,14 +21,12 @@ def run(capsys, *argv):
 
 @pytest.fixture
 def one_cycle_too_many(monkeypatch):
-    # a simulator that gets every product right and every cycle count wrong:
-    # it repeats its last record
-    def broken_simulate(a, b, cfg):
-        res = simulate(a, b, cfg)
-        res.trace.append(res.trace[-1])
-        return res
+    # a cycle loop that gets every product right and every cycle count wrong
+    def broken_run(a, b, cfg, trace):
+        product, cycles = engine._run(a, b, cfg, trace)
+        return product, cycles + 1
 
-    monkeypatch.setattr(baseline, "simulate", broken_simulate)
+    monkeypatch.setattr(baseline, "_run", broken_run)
 
 
 @pytest.fixture
@@ -108,6 +106,11 @@ class TestMul:
         code, _, err = run(capsys, "mul", "--a", "zz", "--b", "1")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("text", ["zz", "1__2", "12a", "0x"])
+    def test_malformed_literal_is_echoed(self, capsys, text):
+        assert run(capsys, "mul", "--a", text, "--b", "1") == (
+            2, "", f"error: not an operand literal: {text!r}\n")
 
     def test_operand_too_wide(self, capsys):
         code, _, err = run(capsys, "mul", "--a", "0x1FFFF", "--b", "1",
@@ -422,6 +425,20 @@ class TestWideDecimal:
             "reformed total cycles = 1000 (flush included)",
             "speedup (total)       = 8.00x",
         ]
+
+    def test_decimal_operand(self, capsys, digit_limit):
+        # a decimal operand past the limit fits n bits but cannot be read:
+        # it is refused by name, without echoing its digits
+        nines = "9" * 4400
+        code, out, err = run(capsys, "mul", "--a", nines, "--b", "1",
+                             "--n", "16000", "--k", "8")
+        if digit_limit:
+            assert (code, out) == (2, "")
+            assert err == ("error: decimal operand of 4400 digits is past the "
+                           "interpreter's 4300-digit limit; give it as 0x or bin:\n")
+        else:
+            assert (code, err) == (0, "")
+            assert out.splitlines()[2] == f"product (hex) {int(nines):#x}"
 
 
 class TestParser:

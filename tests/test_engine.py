@@ -470,6 +470,21 @@ class TestDecodeMatchesReferenceBlocks:
         assert built[Digit] == 0
 
 
+class TestRecordFreeRun:
+    # compare runs the cycle loop with no record list; it must give the
+    # product and the cycle count that simulate's records give
+    @pytest.mark.parametrize("policy", list(FlushPolicy))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_small_pair_matches_simulate(self, n, policy):
+        for k in range(1, n + 1):
+            for adder_width in (None, n + k + 2):
+                cfg = SimConfig(n=n, k=k, adder_width=adder_width, flush_policy=policy)
+                for a, b in itertools.product(range(1 << n), repeat=2):
+                    wa, wb = Word(a, n), Word(b, n)
+                    res = simulate(wa, wb, cfg)
+                    assert engine._run(wa, wb, cfg, None) == (res.product.value, res.cycles)
+
+
 class TestCycleCountModel:
     def test_full_width_is_operand_independent(self):
         cfg = SimConfig(n=16)

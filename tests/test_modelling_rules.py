@@ -9,10 +9,13 @@ compares a document with the records that engine._native_records
 yields natively, and the tests check every record of simulate against
 them, so that generator, the independent record reference, may read
 only the decoder's control table of the datapath; neither it, the whole
-native run (_native_run) nor the checker runs simulate or the central
-adder (_central_step, its one implementation). simulate
-runs every cycle through _central_step. Invariants raise typed errors,
-so no library module may hold an assert, which python -O strips.
+native run (_native_run) nor the checker runs simulate, its cycle loop
+(_run) or the central adder (_central_step, its one implementation).
+_run runs every cycle through _central_step, and simulate and
+baseline.compare both run _run. The reference routes compare checks it
+against, shift_add_multiply and oracle_multiply, run none of these.
+Invariants raise typed errors, so no library module may hold an
+assert, which python -O strips.
 """
 
 import ast
@@ -21,11 +24,14 @@ from pathlib import Path
 import pytest
 
 import radixmul
-from radixmul import datapath, engine
+from radixmul import baseline, datapath, engine
 
 LIBRARY_SOURCES = sorted(Path(radixmul.__file__).parent.glob("*.py"))
 TREE = ast.parse(Path(datapath.__file__).read_text(encoding="utf-8"))
 ENGINE_TREE = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+BASELINE_TREE = ast.parse(Path(baseline.__file__).read_text(encoding="utf-8"))
+# the simulator's entry point, its cycle loop and its central adder
+KERNEL = {"simulate", "_run", "_central_step"}
 # every function and class the datapath module defines
 DATAPATH_NAMES = {name for name, value in vars(datapath).items()
                   if getattr(value, "__module__", None) == datapath.__name__}
@@ -81,15 +87,22 @@ def test_the_native_run_reads_only_the_control_table_of_the_datapath():
     records = function("_native_records", ENGINE_TREE)
     assert names(records) & DATAPATH_NAMES == {"_controls"}
     for name in ("_native_records", "_native_run", "verify_trace_dict"):
-        assert called(function(name, ENGINE_TREE)) & {"simulate", "_central_step"} == set()
+        assert called(function(name, ENGINE_TREE)) & KERNEL == set()
 
 
 def test_the_independence_check_sees_what_simulate_uses():
-    tree = function("simulate", ENGINE_TREE)
+    tree = function("_run", ENGINE_TREE)
     assert {"_controls", "_ladder", "_central_step"} <= names(tree) & DATAPATH_NAMES
     assert "_central_step" in called(tree)
+    assert "_run" in called(function("simulate", ENGINE_TREE))
+    assert "_run" in called(function("compare", BASELINE_TREE))
     nested = ast.parse("def f(x):\n    return g(datapath.csa(x))\n")
     assert called(nested) == {"g", "csa"}
+
+
+@pytest.mark.parametrize("name", ["shift_add_multiply", "oracle_multiply"])
+def test_the_reference_routes_run_no_simulator(name):
+    assert called(function(name, BASELINE_TREE)) & KERNEL == set()
 
 
 def asserts(tree: ast.AST) -> list[int]:
