@@ -4,8 +4,11 @@ The engine wires the datapath blocks into the per-cycle schedule: the
 multiplier register chain streams one k-bit digit per clock, each digit
 is decomposed into mux and shifter controls, the resulting partial
 product runs through the central adder, k product bits are emitted, and
-the remainder feeds back. Once the digits run out, flush cycles with a
-zero partial product drain the residue into the output registers.
+the remainder feeds back. Once the digits are shifted out the register
+reads 0, so a flush cycle is a digit-0 cycle: the mux routes its
+constant-zero line and the residue drains into the output registers.
+Every cycle runs the same path; only its record marks a flush cycle,
+with a null digit.
 
 The loop is one integer kernel, _run. The ladder (datapath._ladder),
 the digit decode, the mux, the barrel shift and the central adder
@@ -23,10 +26,10 @@ decode is a lookup in the decoder's fixed per-k control table
 (datapath._controls), the same table that wires the ladder. The
 independent model is the generator _native_records, which yields the
 run's records one at a time by native arithmetic. The trace checker
-reads it, and the tests check every record of simulate against it
-(through _native_run) and every record's decode, mux and shift against
-datapath's Word-level views (decompose_digit, mux_select,
-barrel_shift) over build_multiple_table.
+reads it, and the tests check every record of simulate against it and
+every record's decode, mux and shift against datapath's Word-level
+views (decompose_digit, mux_select, barrel_shift) over
+build_multiple_table.
 
 The width checks that per-cycle Words would make are made on the ints
 instead, each at least as strong: every ladder entry is checked once
@@ -35,7 +38,11 @@ shifted by at most k - 1) fits the barrel shifter's n + 2k - 1 output
 bits; _central_step raises AdderSizingError when residue + pp reaches
 2^adder_width, which also bounds the residue; masking keeps the
 emitted bits within k; a residue that reaches 2^n raises
-AdderSizingError; and so does a product wider than its 2n-bit register.
+AdderSizingError; and so does a product wider than its 2n-bit register,
+with the residue left after the last cycle folded in above the emitted
+bits. No run goes past full_width_cycles, the emission slots of all 2n
+bits, so an early_stop run whose residue never drains ends there and
+raises that error.
 
 The trace format lives in the writer, to_trace_dict and to_trace_json.
 verify_trace_dict reads only a document's inputs, walks its records
@@ -217,10 +224,12 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
     barrel-shift it into the final partial product, and push it through
     the central adder, which emits the k low bits, folded into the
     product at bit cycle * k, and feeds the rest back. Once the digits
-    run out, flush cycles feed a zero partial product until the flush
-    policy is met. A residue that reaches 2^n, the bound every valid run
-    keeps, raises AdderSizingError, as do emitted bits past the 2n-bit
-    product register.
+    run out, flush cycles run until the flush policy is met, and never
+    past full_width_cycles. A residue that reaches 2^n, the bound every
+    valid run keeps, raises AdderSizingError, as do emitted bits past
+    the 2n-bit product register, where the residue left after the last
+    cycle is folded in above them: a run that ends on a nonzero residue
+    raises.
 
     The loop is _run, the one integer kernel, which compare also runs
     without records: the digit, the mux and the barrel shift work over
@@ -228,12 +237,14 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
     selection and shift count are one lookup in the per-k control table,
     as a hardware decoder holds them, and every cycle's residue and
     partial product go through the central adder's integer core,
-    _central_step. Digit-0 and flush cycles feed a zero partial product.
-    simulate hands _run a list, so one CycleRecord is kept per cycle. No
-    Digit is built, and the one Word built is the product. A ladder
-    entry of n + k bits or more, which would give a partial product
-    wider than the barrel shifter's n + 2k - 1 output bits, raises
-    WidthOverflowError before the first cycle.
+    _central_step. Every cycle runs that one path: a digit-0 cycle, and
+    so a flush cycle, whose multiplier register reads 0, selects the
+    mux's constant-zero line, and only the record gives a flush cycle a
+    null digit. simulate hands _run a list, so one CycleRecord is kept
+    per cycle. No Digit is built, and the one Word built is the
+    product. A ladder entry of n + k bits or more, which would give a
+    partial product wider than the barrel shifter's n + 2k - 1 output
+    bits, raises WidthOverflowError before the first cycle.
     """
     trace: list[CycleRecord] = []
     product, _ = _run(a, b, cfg, trace)
@@ -256,34 +267,35 @@ def _run(a: Word, b: Word, cfg: SimConfig,
         raise WidthOverflowError(
             f"ladder entry {widest} does not fit in {cfg.n + k} bits"
         )
+    odd[0] = 0  # the mux's constant-zero line, which digit 0 selects
     controls = _controls(k)
     multiplier = b.value
     mask = (1 << k) - 1
     digit_cycles = cfg.digit_cycles
-    early_stop = cfg.flush_policy is FlushPolicy.EARLY_STOP
-    target = cfg.full_width_cycles
+    full_width = cfg.full_width_cycles
+    stop = digit_cycles if cfg.flush_policy is FlushPolicy.EARLY_STOP else full_width
     residue = product = 0
     residue_bound = 1 << cfg.n
 
     cycle = 0
-    while cycle < digit_cycles or (residue if early_stop else cycle < target):
-        if cycle < digit_cycles:
-            digit = multiplier & mask
-            multiplier >>= k
-            odd_core, shift = controls[digit]
-            pp = odd[odd_core] << shift if digit else 0
-        else:
-            digit, odd_core, shift, pp = None, 0, 0, 0
+    # cycle < full_width and (cycle < stop or residue), as stop <= full_width,
+    # with the test that decides most cycles first
+    while cycle < stop or (residue and cycle < full_width):
+        digit = multiplier & mask
+        multiplier >>= k
+        odd_core, shift = controls[digit]
+        pp = odd[odd_core] << shift
         emitted, after = _central_step(residue, pp, k, adder_width)
         if after >= residue_bound:
             raise AdderSizingError(f"residue {after} breaks the 2^n bound")
         if trace is not None:
-            trace.append(CycleRecord(cycle, digit, odd_core, shift, pp,
-                                     residue, after, emitted))
+            trace.append(CycleRecord(cycle, digit if cycle < digit_cycles else None,
+                                     odd_core, shift, pp, residue, after, emitted))
         product |= emitted << cycle * k
         residue = after
         cycle += 1
 
+    product |= residue << cycle * k
     if product >> 2 * cfg.n:
         raise AdderSizingError(f"emitted bits exceed the {2 * cfg.n}-bit product register")
     return product, cycle
@@ -397,17 +409,12 @@ def _native_records(a: Word, b: Word, cfg: SimConfig, cycles: int) -> Iterator[C
     digit_cycles = cfg.digit_cycles
     residue = 0
     for i in range(cycles):
-        digit = (b.value >> i * k) & mask if i < digit_cycles else None
-        odd_core, shift = controls[digit or 0]
-        pp = (digit or 0) * a.value
+        digit = (b.value >> i * k) & mask
+        pp = digit * a.value
         total = residue + pp
-        yield CycleRecord(i, digit, odd_core, shift, pp, residue, total >> k, total & mask)
+        yield CycleRecord(i, digit if i < digit_cycles else None, *controls[digit], pp,
+                          residue, total >> k, total & mask)
         residue = total >> k
-
-
-def _native_run(a: Word, b: Word, cfg: SimConfig) -> SimResult:
-    records = list(_native_records(a, b, cfg, cycle_count_model(a, b, cfg)))
-    return SimResult(a, b, cfg, Word(a.value * b.value, 2 * cfg.n), records)
 
 
 # a document's keys, in the order the checker searches them

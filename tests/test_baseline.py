@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from radixmul import baseline, engine
+from radixmul import baseline, datapath, engine
 from radixmul.baseline import (
     ProductMismatchError,
     compare,
@@ -145,6 +146,33 @@ class TestCompare:
             compare(Word(63, 6), Word(63, 6), SimConfig(n=6, k=3))
         assert str(exc.value) == "a=0x3f b=0x3f: ladder entry 512 does not fit in 9 bits"
         assert type(exc.value.__cause__) is WidthOverflowError
+
+    def test_a_residue_left_after_the_last_cycle_raises_mismatch(self, monkeypatch):
+        # n = 4, k = 3 runs 3 full-width cycles; a residue of 8 handed on
+        # after cycle 1 drains to 1 in cycle 2, past the 8-bit register
+        real_step = engine._central_step
+        cycle = itertools.count()
+
+        def residue_eight_after_cycle_one(residue, pp, k, adder_width):
+            emitted, after = real_step(residue, pp, k, adder_width)
+            return emitted, (8 if next(cycle) == 1 else after)
+
+        monkeypatch.setattr(engine, "_central_step", residue_eight_after_cycle_one)
+        with pytest.raises(ProductMismatchError) as exc:
+            compare(Word(0, 4), Word(0, 4), SimConfig(n=4, k=3))
+        assert str(exc.value) == (
+            "a=0x0 b=0x0: emitted bits exceed the 8-bit product register")
+        assert isinstance(exc.value.__cause__, AdderSizingError)
+
+    def test_zero_line_fault_raises_mismatch(self, monkeypatch):
+        # digit-0 and flush cycles select the mux's zero line through the
+        # decoder's table like any digit; entry 0 wired to the multiplicand
+        # adds it on each of the 3 cycles after the one digit 7
+        monkeypatch.setattr(engine, "_controls",
+                            lambda k: ((1, 0),) + datapath._controls(k)[1:])
+        with pytest.raises(ProductMismatchError) as exc:
+            compare(Word(1, 6), Word(7, 6), SimConfig(n=6))
+        assert str(exc.value) == "a=0x1 b=0x7: oracle=0x7 shift_add=0x7 reformed=0x24f"
 
     def test_builds_no_cycle_record(self, monkeypatch):
         # compare reads only the product and the cycle count, so its run

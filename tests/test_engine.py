@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from radixmul import engine
+from radixmul import datapath, engine
 from radixmul.datapath import (
     AdderSizingError,
     barrel_shift,
@@ -348,17 +348,19 @@ class TestCycleInvariants:
 
     @pytest.mark.parametrize("offset,raises", [(-1, False), (0, True)])
     def test_residue_bound_is_two_to_the_n(self, monkeypatch, offset, raises):
+        # b = 2 selects ladder entry 1 shifted once, so an entry of
+        # (2^n + offset) << 1 leaves a first residue of exactly 2^n + offset,
+        # which the real adder then drains
         cfg = SimConfig(n=4, k=2)
-
-        def step(residue, pp, k, adder_width):
-            return 0, (1 << cfg.n) + offset
-
-        monkeypatch.setattr(engine, "_central_step", step)
+        entry = ((1 << cfg.n) + offset) << 1
+        monkeypatch.setattr(engine, "_ladder", lambda base, k: {1: entry, 3: 3 * base})
         if raises:
-            with pytest.raises(AdderSizingError, match="bound"):
-                simulate(Word(1, 4), Word(1, 4), cfg)
+            with pytest.raises(AdderSizingError, match="^residue 16 breaks the 2\\^n bound$"):
+                simulate(Word(1, 4), Word(2, 4), cfg)
         else:
-            assert simulate(Word(1, 4), Word(1, 4), cfg).cycles == cfg.full_width_cycles
+            res = simulate(Word(1, 4), Word(2, 4), cfg)
+            assert res.trace[0].residue_after == (1 << cfg.n) - 1
+            assert res.cycles == cfg.full_width_cycles
 
     @pytest.mark.parametrize("offset,raises", [(-1, False), (0, True)])
     def test_ladder_entries_must_fit_n_plus_k_bits(self, monkeypatch, offset, raises):
@@ -398,15 +400,15 @@ class TestCycleInvariants:
 def assert_decode_matches_reference(res, table):
     # every record equals the one the native model gives (digit * a by
     # multiplication, the adder as + and shifts), and its decode, mux and
-    # shift are what the Word-level views give; flush records carry the zero line
-    assert res.trace == engine._native_run(res.a, res.b, res.config).trace
-    k = res.config.k
+    # shift are what the Word-level views give; a flush record is a digit-0
+    # cycle, so it carries the zero line
+    cfg = res.config
+    native = engine._native_records(res.a, res.b, cfg, cycle_count_model(res.a, res.b, cfg))
+    assert res.trace == list(native)
     for r in res.trace:
-        if r.digit is not None:
-            assert tuple(decompose_digit(Digit(r.digit, k))) == (r.odd_core, r.shift)
-        else:
-            assert (r.odd_core, r.shift) == (0, 0)
-        assert barrel_shift(mux_select(table, r.odd_core), r.shift, k).value == r.pp
+        digit = Digit(0 if r.digit is None else r.digit, cfg.k)
+        assert tuple(decompose_digit(digit)) == (r.odd_core, r.shift)
+        assert barrel_shift(mux_select(table, r.odd_core), r.shift, cfg.k).value == r.pp
 
 
 class TestDecodeMatchesReferenceBlocks:
@@ -529,6 +531,53 @@ class TestProductRegister:
         with pytest.raises(AdderSizingError) as exc:
             simulate(Word(0, 5), Word(0, 5), SimConfig(n=5, k=3))
         assert str(exc.value) == "emitted bits exceed the 10-bit product register"
+
+    def test_a_residue_left_after_the_last_cycle_is_sizing_error(self, monkeypatch):
+        # n = 4, k = 3 runs 3 full-width cycles; a residue of 8 after cycle 1
+        # drains to 1 in cycle 2, which lands on bit 9 of an 8-bit register
+        real_step = engine._central_step
+        cycle = itertools.count()
+
+        def residue_eight_after_cycle_one(residue, pp, k, adder_width):
+            emitted, after = real_step(residue, pp, k, adder_width)
+            return emitted, (8 if next(cycle) == 1 else after)
+
+        monkeypatch.setattr(engine, "_central_step", residue_eight_after_cycle_one)
+        with pytest.raises(AdderSizingError,
+                           match="^emitted bits exceed the 8-bit product register$"):
+            simulate(Word(0, 4), Word(0, 4), SimConfig(n=4, k=3))
+
+    def test_an_early_stop_run_ends_at_the_full_width(self, monkeypatch):
+        # an adder stuck on a nonzero residue never lets early_stop's
+        # residue test end the run; the full-width budget does, and the
+        # residue left over overflows the register
+        cfg = SimConfig(n=4, k=2, flush_policy=FlushPolicy.EARLY_STOP)
+        calls = []
+
+        def stuck(residue, pp, k, adder_width):
+            calls.append(residue)
+            if len(calls) > 1000:
+                raise RuntimeError("the run did not end")
+            return 0, 15
+
+        monkeypatch.setattr(engine, "_central_step", stuck)
+        with pytest.raises(AdderSizingError,
+                           match="^emitted bits exceed the 8-bit product register$"):
+            simulate(Word(1, 4), Word(1, 4), cfg)
+        assert len(calls) == cfg.full_width_cycles
+
+
+class TestZeroLine:
+    # digit-0 and flush cycles run the same path as any digit, so a fault
+    # on the zero line's selection shows in the records and the product
+    def test_a_wrong_zero_selection_reaches_the_product(self, monkeypatch):
+        # digit 0 wired to the multiplicand instead of the zero line
+        monkeypatch.setattr(engine, "_controls",
+                            lambda k: ((1, 0),) + datapath._controls(k)[1:])
+        res = simulate(Word(1, 6), Word(7, 6), SimConfig(n=6))
+        assert [r.pp for r in res.trace] == [7, 1, 1, 1]
+        assert [r.odd_core for r in res.trace] == [7, 1, 1, 1]
+        assert res.product.value == 0x24F
 
 
 class TestTraceSerialization:

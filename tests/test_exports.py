@@ -76,6 +76,8 @@ _TABLE = datapath.build_multiple_table(word.Word(13, 6), 3)
     # every SimResult is built straight from its product and records
     (engine, "assemble_product"),
     (engine, "_native_result"),
+    # the tests read the independent model's records from _native_records
+    (engine, "_native_run"),
     (cli, "SEED_ENV_VAR"),
 ], ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_unread_members_are_gone(owner, name):

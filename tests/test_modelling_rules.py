@@ -8,9 +8,9 @@ the module, and not even those in _csa and _ripple. The trace checker
 compares a document with the records that engine._native_records
 yields natively, and the tests check every record of simulate against
 them, so that generator, the independent record reference, may read
-only the decoder's control table of the datapath; neither it, the whole
-native run (_native_run) nor the checker runs simulate, its cycle loop
-(_run) or the central adder (_central_step, its one implementation).
+only the decoder's control table of the datapath; neither it nor the
+checker runs simulate, its cycle loop (_run) or the central adder
+(_central_step, its one implementation).
 _run runs every cycle through _central_step, and simulate and
 baseline.compare both run _run. The reference routes compare checks it
 against, shift_add_multiply and oracle_multiply, run none of these.
@@ -86,7 +86,7 @@ def called(tree: ast.AST) -> set[str]:
 def test_the_native_run_reads_only_the_control_table_of_the_datapath():
     records = function("_native_records", ENGINE_TREE)
     assert names(records) & DATAPATH_NAMES == {"_controls"}
-    for name in ("_native_records", "_native_run", "verify_trace_dict"):
+    for name in ("_native_records", "verify_trace_dict"):
         assert called(function(name, ENGINE_TREE)) & KERNEL == set()
 
 
