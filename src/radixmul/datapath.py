@@ -8,7 +8,11 @@ ripple-carry completion, and the composed central-adder step that
 emits k product bits per cycle and feeds the rest back. The central
 adder has one implementation, on plain ints (_central_step), which the
 simulator runs every cycle; the decoder, ladder, mux, shifter, CSA and
-RCA keep Word-level views as well.
+RCA keep Word-level views as well. The integer blocks (_ladder, _csa,
+_ripple, _central_step) are pure combinational logic with no error
+path. The adder's width is checked once, at config time (SimConfig's
+floor), and the engine's 2^n residue bound implies on every cycle that
+each sum fits it; the engine owns every register bound.
 
 No native multiplication happens anywhere in this module: multiples
 come only from shifting and adding, exactly as the modeled circuit
@@ -39,7 +43,8 @@ class ControlError(ValueError):
 
 
 class AdderSizingError(WidthOverflowError):
-    """The configured adder width cannot hold an intermediate result."""
+    """A datapath register cannot hold its value: a residue at 2^n or more,
+    or emitted bits past the 2n-bit product register."""
 
 
 class DigitDecomposition(NamedTuple):
@@ -166,17 +171,13 @@ def _ripple(x: int, y: int, carry_in: int) -> int:
     return s
 
 
-def _central_step(residue: int, pp: int, k: int, adder_width: int) -> tuple[int, int]:
+def _central_step(residue: int, pp: int, k: int) -> tuple[int, int]:
     # one central-adder cycle on plain integers: (emitted bits, next residue);
-    # the one sizing rule is residue + pp < 2^adder_width, which also covers
-    # an operand that does not fit and a CSA carry that overflows
+    # the adder's width is sized once, by SimConfig's floor of n + k + 2
+    # lines, and the engine's 2^n bound on the next residue shows on every
+    # cycle that the sum fit: one of 2^(n+k+2) or more leaves 2^(n+2)
     s, c = _csa(residue, pp, 0)
     total = _ripple(s, c << 1, 0)
-    if total >> adder_width:
-        raise AdderSizingError(
-            f"residue {residue} + partial product {pp} overflows "
-            f"the {adder_width}-bit adder"
-        )
     return total & ((1 << k) - 1), total >> k
 
 

@@ -32,17 +32,21 @@ views (decompose_digit, mux_select, barrel_shift) over
 build_multiple_table.
 
 The width checks that per-cycle Words would make are made on the ints
-instead, each at least as strong: every ladder entry is checked once
-per run to fit in n + k bits, so every partial product (an entry
-shifted by at most k - 1) fits the barrel shifter's n + 2k - 1 output
-bits; _central_step raises AdderSizingError when residue + pp reaches
-2^adder_width, which also bounds the residue; masking keeps the
-emitted bits within k; a residue that reaches 2^n raises
-AdderSizingError; and so does a product wider than its 2n-bit register,
-with the residue left after the last cycle folded in above the emitted
-bits. No run goes past full_width_cycles, the emission slots of all 2n
-bits, so an early_stop run whose residue never drains ends there and
-raises that error.
+instead, each at least as strong, and _run makes all of them; the
+datapath's integer blocks have no error path. The operands' widths are
+checked on entry; every ladder entry is checked once per run to fit in
+n + k bits, so every partial product (an entry shifted by at most
+k - 1) fits the barrel shifter's n + 2k - 1 output bits; masking keeps
+the emitted bits within k; a residue that reaches 2^n raises
+AdderSizingError, the one bound check per cycle; and so does a product
+wider than its 2n-bit register, with the residue left after the last
+cycle folded in above the emitted bits. The adder's width is checked
+once, when SimConfig enforces its floor of n + k + 2 lines: a sum of
+2^adder_width or more would leave a next residue of at least 2^(n+2),
+so the residue bound shows on every cycle that each sum fit the adder.
+No run goes past full_width_cycles, the emission slots of all 2n bits,
+so an early_stop run whose residue never drains ends there and raises
+that error.
 
 The trace format lives in the writer, to_trace_dict and to_trace_json.
 verify_trace_dict reads only a document's inputs, walks its records
@@ -114,8 +118,11 @@ class SimConfig:
     2^n: if r < 2^n then r + digit * A < 2^(n+k), so the next residue,
     the sum shifted right by k, is below 2^n again, and n + k lines hold
     every sum. The enforced floor is still n + k + 2 lines, two above
-    what that proof needs. k is at most 16: the ladder and the decoder's
-    control table grow as 2^k. A config is frozen, and so hashable, and
+    what that proof needs. The floor is checked once, here: a run checks
+    the 2^n residue bound on every cycle, and a sum of 2^adder_width or
+    more would leave a residue of at least 2^(n+2), so that one check
+    also shows every sum fit the adder. k is at most 16: the ladder and
+    the decoder's control table grow as 2^k. A config is frozen, and so hashable, and
     the checks hold for its lifetime: assigning a field raises
     dataclasses.FrozenInstanceError, and dataclasses.replace builds a
     new config through the same checks.
@@ -260,7 +267,6 @@ def _run(a: Word, b: Word, cfg: SimConfig,
             f"operand widths ({a.width}, {b.width}) do not match n={cfg.n}"
         )
     k = cfg.k
-    adder_width = cfg.adder_width
     odd = _ladder(a.value, k)
     widest = max(odd.values())
     if widest >> (cfg.n + k):
@@ -285,7 +291,7 @@ def _run(a: Word, b: Word, cfg: SimConfig,
         multiplier >>= k
         odd_core, shift = controls[digit]
         pp = odd[odd_core] << shift
-        emitted, after = _central_step(residue, pp, k, adder_width)
+        emitted, after = _central_step(residue, pp, k)
         if after >= residue_bound:
             raise AdderSizingError(f"residue {after} breaks the 2^n bound")
         if trace is not None:
@@ -454,9 +460,11 @@ def verify_trace_dict(doc: dict) -> SimResult:
     One pass in document order raises ValueError naming the first field
     that differs: "<path> is <got>, the run gives <want>" for a wrong
     value, "malformed trace document: ..." for a wrong type or key set.
-    It checks the key set, config, a, b and the trace's type; a trace
-    shorter than its run (cycle_count_model) then gets "trace has N
-    entries, the run gives M"; then each record as _native_records
+    It checks the key set, config, a, b and the trace's type; an
+    early_stop trace shorter than its digit cycles then gets "trace has
+    N entries, the run gives at least D", before a and b are multiplied,
+    and any other trace shorter than its run (cycle_count_model) "trace
+    has N entries, the run gives M"; then each record as _native_records
     yields it, a too long trace, product, cycles and total_time_ns. It
     stops at the first record that differs, so its time and memory grow
     with the document. The returned SimResult equals the simulate result
@@ -477,6 +485,10 @@ def verify_trace_dict(doc: dict) -> SimResult:
     trace = doc["trace"]
     if type(trace) is not list:
         raise _difference(trace, [], "trace")
+    if cfg.flush_policy is FlushPolicy.EARLY_STOP and len(trace) < cfg.digit_cycles:
+        # past its digit cycles an early_stop run's length needs the product
+        raise ValueError(f"trace has {len(trace)} entries, "
+                         f"the run gives at least {cfg.digit_cycles}")
     cycles = cycle_count_model(a, b, cfg)
     wrong_length = ValueError(f"trace has {len(trace)} entries, the run gives {cycles}")
     if len(trace) < cycles:

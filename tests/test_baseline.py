@@ -129,13 +129,23 @@ class TestCompare:
     def test_simulator_fault_raises_mismatch(self, monkeypatch):
         # a residue past the 2^n bound is the simulator's fault on this
         # pair, not an input error
-        def broken_step(residue, pp, k, adder_width):
+        def broken_step(residue, pp, k):
             return 0, 1 << 7
 
         monkeypatch.setattr(engine, "_central_step", broken_step)
         with pytest.raises(ProductMismatchError) as exc:
             compare(Word(63, 6), Word(63, 6), SimConfig(n=6, k=3))
         assert str(exc.value) == "a=0x3f b=0x3f: residue 128 breaks the 2^n bound"
+        assert isinstance(exc.value.__cause__, AdderSizingError)
+
+    def test_a_sum_past_the_adder_raises_mismatch(self, monkeypatch):
+        # at the 11-bit floor for n = 6, k = 3, a ladder entry 1 of 511 makes
+        # the second cycle's sum 7 + 2044, past 2^11; the residue bound names it
+        real_ladder = engine._ladder
+        monkeypatch.setattr(engine, "_ladder", lambda base, k: {**real_ladder(base, k), 1: 511})
+        with pytest.raises(ProductMismatchError) as exc:
+            compare(Word(21, 6), Word(35, 6), SimConfig(n=6, k=3, adder_width=11))
+        assert str(exc.value) == "a=0x15 b=0x23: residue 256 breaks the 2^n bound"
         assert isinstance(exc.value.__cause__, AdderSizingError)
 
     def test_ladder_fault_raises_mismatch(self, monkeypatch):
@@ -153,8 +163,8 @@ class TestCompare:
         real_step = engine._central_step
         cycle = itertools.count()
 
-        def residue_eight_after_cycle_one(residue, pp, k, adder_width):
-            emitted, after = real_step(residue, pp, k, adder_width)
+        def residue_eight_after_cycle_one(residue, pp, k):
+            emitted, after = real_step(residue, pp, k)
             return emitted, (8 if next(cycle) == 1 else after)
 
         monkeypatch.setattr(engine, "_central_step", residue_eight_after_cycle_one)

@@ -32,7 +32,7 @@ def one_cycle_too_many(monkeypatch):
 @pytest.fixture
 def residue_past_bound(monkeypatch):
     # a central adder whose every residue is 2^7, past n=6's 2^n bound
-    def broken_step(residue, pp, k, adder_width):
+    def broken_step(residue, pp, k):
         return 0, 1 << 7
 
     monkeypatch.setattr(engine, "_central_step", broken_step)

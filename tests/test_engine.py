@@ -339,7 +339,7 @@ class TestCycleInvariants:
     def test_residue_bound_is_a_typed_error(self, monkeypatch):
         cfg = SimConfig(n=4, k=2)
 
-        def oversized(residue, pp, k, adder_width):
+        def oversized(residue, pp, k):
             return 0, 1 << (cfg.n + 1)
 
         monkeypatch.setattr(engine, "_central_step", oversized)
@@ -361,6 +361,16 @@ class TestCycleInvariants:
             res = simulate(Word(1, 4), Word(2, 4), cfg)
             assert res.trace[0].residue_after == (1 << cfg.n) - 1
             assert res.cycles == cfg.full_width_cycles
+
+    def test_a_sum_past_the_adder_breaks_the_residue_bound(self, monkeypatch):
+        # at the 11-bit floor for n = 6, k = 3, ladder entry 1 of 511 fits
+        # n + k bits; b = 35 selects 3A, then 1A shifted twice: 7 + 2044 is
+        # past 2^11, and the residue bound is the check that names it
+        real_ladder = engine._ladder
+        monkeypatch.setattr(engine, "_ladder", lambda base, k: {**real_ladder(base, k), 1: 511})
+        with pytest.raises(AdderSizingError) as exc:
+            simulate(Word(21, 6), Word(35, 6), SimConfig(n=6, k=3, adder_width=11))
+        assert str(exc.value) == "residue 256 breaks the 2^n bound"
 
     @pytest.mark.parametrize("offset,raises", [(-1, False), (0, True)])
     def test_ladder_entries_must_fit_n_plus_k_bits(self, monkeypatch, offset, raises):
@@ -523,8 +533,8 @@ class TestProductRegister:
         real_step = engine._central_step
         cycle = iter(range(4))
 
-        def last_emits_seven(residue, pp, k, adder_width):
-            emitted, after = real_step(residue, pp, k, adder_width)
+        def last_emits_seven(residue, pp, k):
+            emitted, after = real_step(residue, pp, k)
             return (0b111 if next(cycle) == 3 else emitted), after
 
         monkeypatch.setattr(engine, "_central_step", last_emits_seven)
@@ -538,8 +548,8 @@ class TestProductRegister:
         real_step = engine._central_step
         cycle = itertools.count()
 
-        def residue_eight_after_cycle_one(residue, pp, k, adder_width):
-            emitted, after = real_step(residue, pp, k, adder_width)
+        def residue_eight_after_cycle_one(residue, pp, k):
+            emitted, after = real_step(residue, pp, k)
             return emitted, (8 if next(cycle) == 1 else after)
 
         monkeypatch.setattr(engine, "_central_step", residue_eight_after_cycle_one)
@@ -554,7 +564,7 @@ class TestProductRegister:
         cfg = SimConfig(n=4, k=2, flush_policy=FlushPolicy.EARLY_STOP)
         calls = []
 
-        def stuck(residue, pp, k, adder_width):
+        def stuck(residue, pp, k):
             calls.append(residue)
             if len(calls) > 1000:
                 raise RuntimeError("the run did not end")
@@ -692,7 +702,7 @@ class TestTraceSerialization:
         doc.update(trace=[], cycles=0, product="0x0", total_time_ns=30.0)
         with pytest.raises(ValueError) as info:
             verify_trace_dict(doc)
-        assert str(info.value) == "trace has 0 entries, the run gives 4"
+        assert str(info.value) == "trace has 0 entries, the run gives at least 2"
 
     @pytest.mark.parametrize("policy", list(FlushPolicy))
     def test_verify_accepts_every_small_trace(self, policy):
@@ -928,6 +938,20 @@ class TestCheckerWorkIsBoundedByTheDocument:
         with pytest.raises(ValueError) as info:
             verify_trace_dict(self.header(10**7, 1))
         assert str(info.value) == "trace has 0 entries, the run gives 20000000"
+        assert drawn == [0]
+
+    def test_a_short_early_stop_trace_is_refused_before_the_product(self, monkeypatch,
+                                                                    drawn):
+        # an early_stop run's length past its digit cycles needs a * b; a
+        # trace shorter than the digit cycles is refused without it
+        def no_product(a, b, cfg):
+            raise RuntimeError("cycle_count_model ran")
+
+        monkeypatch.setattr(engine, "cycle_count_model", no_product)
+        cfg = SimConfig(n=10**7, k=1, flush_policy=FlushPolicy.EARLY_STOP)
+        with pytest.raises(ValueError) as info:
+            verify_trace_dict(self.header(10**7, 1, config=engine._config_doc(cfg)))
+        assert str(info.value) == "trace has 0 entries, the run gives at least 10000000"
         assert drawn == [0]
 
     @pytest.mark.parametrize("changes,message", [

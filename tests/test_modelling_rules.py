@@ -14,6 +14,11 @@ checker runs simulate, its cycle loop (_run) or the central adder
 _run runs every cycle through _central_step, and simulate and
 baseline.compare both run _run. The reference routes compare checks it
 against, shift_add_multiply and oracle_multiply, run none of these.
+The datapath's integer blocks (_csa, _ripple, _central_step and
+_ladder) are combinational logic with no error path: they hold no
+raise, and _central_step takes only residue, pp and k. The adder's
+width is checked once, by SimConfig, and every register bound is
+_run's.
 Invariants raise typed errors, so no library module may hold an
 assert, which python -O strips.
 """
@@ -103,6 +108,28 @@ def test_the_independence_check_sees_what_simulate_uses():
 @pytest.mark.parametrize("name", ["shift_add_multiply", "oracle_multiply"])
 def test_the_reference_routes_run_no_simulator(name):
     assert called(function(name, BASELINE_TREE)) & KERNEL == set()
+
+
+def raises(tree: ast.AST) -> list[int]:
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+
+
+@pytest.mark.parametrize("name", ["_csa", "_ripple", "_central_step", "_ladder"])
+def test_the_integer_blocks_have_no_error_path(name):
+    assert raises(function(name)) == []
+
+
+def test_the_central_adder_reads_no_width():
+    params = function("_central_step").args
+    assert [arg.arg for arg in params.posonlyargs + params.args + params.kwonlyargs] == [
+        "residue", "pp", "k"]
+    assert params.vararg is None and params.kwarg is None
+
+
+def test_the_raise_check_sees_nested_raises():
+    tree = ast.parse("def f(x):\n    for y in x:\n        if y:\n"
+                     "            raise ValueError(y)\n")
+    assert raises(tree) == [4]
 
 
 def asserts(tree: ast.AST) -> list[int]:
