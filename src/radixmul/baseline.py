@@ -12,8 +12,9 @@ record per cycle.
 
 from dataclasses import dataclass, fields
 
+from .datapath import AdderSizingError
 from .engine import SimConfig, _run, cycle_count_model
-from .word import Word, WidthMismatchError, WidthOverflowError
+from .word import Word, WidthMismatchError
 
 __all__ = [
     "ComparisonReport",
@@ -88,17 +89,18 @@ def compare(a: Word, b: Word, cfg: SimConfig) -> ComparisonReport:
     CycleRecord is built. Any disagreement between the three products
     raises, and so does a simulated cycle count that differs from
     cycle_count_model; the report carries the agreed product and both
-    cycle counts, the digit cycles being cfg.digit_cycles. A width
-    overflow inside the simulator (an adder or residue that its sizing
-    rule says cannot overflow) is a fault of the simulator on this pair
-    and raises ProductMismatchError too; operands that do not match
-    each other or cfg.n stay input errors.
+    cycle counts, the digit cycles being cfg.digit_cycles. An
+    AdderSizingError inside the simulator (a ladder entry, residue or
+    product that its register cannot hold, which the sizing rules say
+    cannot happen) is a fault of the simulator on this pair and raises
+    ProductMismatchError too, with that error as its cause; operands
+    that do not match each other or cfg.n stay input errors.
     """
     expected = oracle_multiply(a, b)
     sa_product, sa_cycles = shift_add_multiply(a, b)
     try:
         product, cycles = _run(a, b, cfg, None)
-    except WidthOverflowError as exc:
+    except AdderSizingError as exc:
         raise ProductMismatchError(f"a={a.to_hex()} b={b.to_hex()}: {exc}") from exc
     if not (expected.value == sa_product.value == product):
         raise ProductMismatchError(

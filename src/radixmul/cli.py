@@ -1,8 +1,9 @@
 """Command-line front end: mul, verify, sweep, compare.
 
 Operands accept decimal, 0x-prefixed hexadecimal, or bin:-prefixed
-MSB-first binary. Exit codes: 0 success, 1 correctness failure,
-2 usage or parse error.
+MSB-first binary. Exit codes: 0 success, 1 correctness failure (a
+mismatch, or a datapath register that cannot hold its value), 2 usage
+or parse error.
 """
 
 import argparse
@@ -12,6 +13,7 @@ import sys
 from dataclasses import fields
 
 from .baseline import ProductMismatchError, compare
+from .datapath import AdderSizingError
 from .engine import FlushPolicy, SimConfig, simulate, to_trace_json
 from .word import Word, parse_word
 
@@ -231,7 +233,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProductMismatchError as exc:
+    except (ProductMismatchError, AdderSizingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except (ValueError, OSError) as exc:

@@ -43,8 +43,10 @@ class ControlError(ValueError):
 
 
 class AdderSizingError(WidthOverflowError):
-    """A datapath register cannot hold its value: a residue at 2^n or more,
-    or emitted bits past the 2n-bit product register."""
+    """A datapath register cannot hold its value: a ladder entry outside
+    n + k bits, a residue outside n bits, or emitted bits past the 2n-bit
+    product register. The registers are unsigned, so a negative value is
+    outside every width."""
 
 
 class DigitDecomposition(NamedTuple):

@@ -32,21 +32,25 @@ views (decompose_digit, mux_select, barrel_shift) over
 build_multiple_table.
 
 The width checks that per-cycle Words would make are made on the ints
-instead, each at least as strong, and _run makes all of them; the
+instead, and _run makes all of them by one rule, Word's: a register of
+w bits holds a value exactly when value >> w is 0, which is nonzero
+both for a value too wide and, the registers being unsigned, for any
+negative value. Every register fault raises AdderSizingError; the
 datapath's integer blocks have no error path. The operands' widths are
-checked on entry; every ladder entry is checked once per run to fit in
+checked on entry; every ladder entry is checked once per run against
 n + k bits, so every partial product (an entry shifted by at most
 k - 1) fits the barrel shifter's n + 2k - 1 output bits; masking keeps
-the emitted bits within k; a residue that reaches 2^n raises
-AdderSizingError, the one bound check per cycle; and so does a product
-wider than its 2n-bit register, with the residue left after the last
-cycle folded in above the emitted bits. The adder's width is checked
-once, when SimConfig enforces its floor of n + k + 2 lines: a sum of
-2^adder_width or more would leave a next residue of at least 2^(n+2),
-so the residue bound shows on every cycle that each sum fit the adder.
-No run goes past full_width_cycles, the emission slots of all 2n bits,
-so an early_stop run whose residue never drains ends there and raises
-that error.
+the emitted bits within k; the residue is checked against n bits every
+cycle, and the product against its 2n-bit register, with the residue
+left after the last cycle folded in above the emitted bits. So the
+central adder only ever adds a residue and a partial product that
+their registers hold, and no fault in a value can hang a run. The
+adder's width is checked once, when SimConfig enforces its floor of
+n + k + 2 lines: a sum of 2^adder_width or more would leave a next
+residue of at least 2^(n+2), so the residue check shows on every cycle
+that each sum fit the adder. No run goes past full_width_cycles, the
+emission slots of all 2n bits, so an early_stop run whose residue never
+drains ends there and raises that error.
 
 The trace format lives in the writer, to_trace_dict and to_trace_json.
 verify_trace_dict reads only a document's inputs, walks its records
@@ -62,7 +66,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .datapath import _MAX_K, AdderSizingError, _central_step, _controls, _ladder
-from .word import Word, WidthOverflowError
+from .word import Word
 
 __all__ = [
     "ConfigError",
@@ -232,11 +236,11 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
     the central adder, which emits the k low bits, folded into the
     product at bit cycle * k, and feeds the rest back. Once the digits
     run out, flush cycles run until the flush policy is met, and never
-    past full_width_cycles. A residue that reaches 2^n, the bound every
-    valid run keeps, raises AdderSizingError, as do emitted bits past
-    the 2n-bit product register, where the residue left after the last
-    cycle is folded in above them: a run that ends on a nonzero residue
-    raises.
+    past full_width_cycles. A residue outside n bits (2^n or more, the
+    bound every valid run keeps, or negative) raises AdderSizingError in
+    the cycle that makes it, as do emitted bits past the 2n-bit product
+    register, where the residue left after the last cycle is folded in
+    above them: a run that ends on a nonzero residue raises.
 
     The loop is _run, the one integer kernel, which compare also runs
     without records: the digit, the mux and the barrel shift work over
@@ -249,9 +253,9 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
     mux's constant-zero line, and only the record gives a flush cycle a
     null digit. simulate hands _run a list, so one CycleRecord is kept
     per cycle. No Digit is built, and the one Word built is the
-    product. A ladder entry of n + k bits or more, which would give a
-    partial product wider than the barrel shifter's n + 2k - 1 output
-    bits, raises WidthOverflowError before the first cycle.
+    product. A ladder entry outside n + k bits, negative or wide enough
+    to give a partial product past the barrel shifter's n + 2k - 1
+    output bits, raises AdderSizingError before the first cycle.
     """
     trace: list[CycleRecord] = []
     product, _ = _run(a, b, cfg, trace)
@@ -266,13 +270,11 @@ def _run(a: Word, b: Word, cfg: SimConfig,
         raise ConfigError(
             f"operand widths ({a.width}, {b.width}) do not match n={cfg.n}"
         )
-    k = cfg.k
+    n, k = cfg.n, cfg.k
     odd = _ladder(a.value, k)
-    widest = max(odd.values())
-    if widest >> (cfg.n + k):
-        raise WidthOverflowError(
-            f"ladder entry {widest} does not fit in {cfg.n + k} bits"
-        )
+    for entry in odd.values():
+        if entry >> (n + k):
+            raise AdderSizingError(f"ladder entry {entry} does not fit in {n + k} bits")
     odd[0] = 0  # the mux's constant-zero line, which digit 0 selects
     controls = _controls(k)
     multiplier = b.value
@@ -281,7 +283,6 @@ def _run(a: Word, b: Word, cfg: SimConfig,
     full_width = cfg.full_width_cycles
     stop = digit_cycles if cfg.flush_policy is FlushPolicy.EARLY_STOP else full_width
     residue = product = 0
-    residue_bound = 1 << cfg.n
 
     cycle = 0
     # cycle < full_width and (cycle < stop or residue), as stop <= full_width,
@@ -292,7 +293,7 @@ def _run(a: Word, b: Word, cfg: SimConfig,
         odd_core, shift = controls[digit]
         pp = odd[odd_core] << shift
         emitted, after = _central_step(residue, pp, k)
-        if after >= residue_bound:
+        if after >> n:
             raise AdderSizingError(f"residue {after} breaks the 2^n bound")
         if trace is not None:
             trace.append(CycleRecord(cycle, digit if cycle < digit_cycles else None,
@@ -302,8 +303,8 @@ def _run(a: Word, b: Word, cfg: SimConfig,
         cycle += 1
 
     product |= residue << cycle * k
-    if product >> 2 * cfg.n:
-        raise AdderSizingError(f"emitted bits exceed the {2 * cfg.n}-bit product register")
+    if product >> 2 * n:
+        raise AdderSizingError(f"emitted bits exceed the {2 * n}-bit product register")
     return product, cycle
 
 

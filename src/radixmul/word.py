@@ -7,10 +7,12 @@ and carry handed out by datapath's Word-level views of the ladder, mux,
 shifter, CSA and RCA, and the decoder's view reads a Digit. Overflow is
 always a hard error, never a silent wraparound, so that sizing bugs in
 the modeled datapath surface immediately instead of being masked. The
-Word and Digit constructors hold that check; the views shift and add on
-plain ints and wrap each result in a new Word, which checks it. The
-simulator's cycle loop runs on the ints alone and makes the same checks
-on them (engine's module docstring lists them).
+Word and Digit constructors hold that check, one unsigned range test:
+value >> width is nonzero both for a value too wide and for any negative
+value. The views shift and add on plain ints and wrap each result in a
+new Word, which checks it. The simulator's cycle loop runs on the ints
+alone and makes the same test on its registers, raising
+datapath.AdderSizingError (engine's module docstring lists them).
 
 Binary text is printed and parsed MSB-first, matching how humans write
 binary literals.
@@ -46,7 +48,7 @@ class Word:
     def __init__(self, value: int, width: int):
         if width < 1:
             raise ValueError(f"width must be positive, got {width}")
-        if value < 0 or value >> width:
+        if value >> width:
             raise WidthOverflowError(f"value {value} does not fit in {width} bits")
         self.value = value
         self.width = width
@@ -78,7 +80,7 @@ class Digit:
     def __init__(self, value: int, k: int):
         if k < 1:
             raise ValueError(f"digit width must be positive, got {k}")
-        if value < 0 or value >> k:
+        if value >> k:
             raise WidthOverflowError(f"digit value {value} does not fit in {k} bits")
         self.value = value
         self.k = k

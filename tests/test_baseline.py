@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +16,34 @@ from radixmul.baseline import (
 )
 from radixmul.datapath import AdderSizingError
 from radixmul.engine import FlushPolicy, SimConfig
-from radixmul.word import WidthMismatchError, WidthOverflowError, Word
+from radixmul.word import WidthMismatchError, Word
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# every value from -8 to 71 in ladder entry 1, then in entry 3, over all 256
+# pairs at n = 4, k = 2; prints how many runs gave a * b and how many raised
+# ProductMismatchError, and ends in a traceback on anything else
+LADDER_FAULT_SWEEP = """
+from radixmul import engine
+from radixmul.baseline import ProductMismatchError, compare
+from radixmul.engine import SimConfig
+from radixmul.word import Word
+
+real_ladder = engine._ladder
+cfg = SimConfig(n=4, k=2)
+products = mismatches = 0
+for line in (1, 3):
+    for value in range(-8, 72):
+        engine._ladder = lambda base, k: {**real_ladder(base, k), line: value}
+        for a in range(16):
+            for b in range(16):
+                try:
+                    compare(Word(a, 4), Word(b, 4), cfg)
+                    products += 1
+                except ProductMismatchError:
+                    mismatches += 1
+print(products, mismatches)
+"""
 
 
 class TestShiftAddMultiply:
@@ -155,7 +186,20 @@ class TestCompare:
         with pytest.raises(ProductMismatchError) as exc:
             compare(Word(63, 6), Word(63, 6), SimConfig(n=6, k=3))
         assert str(exc.value) == "a=0x3f b=0x3f: ladder entry 512 does not fit in 9 bits"
-        assert type(exc.value.__cause__) is WidthOverflowError
+        assert type(exc.value.__cause__) is AdderSizingError
+
+    def test_no_ladder_fault_hangs_a_run(self):
+        # every entry, negative and too wide ones included, is range-checked
+        # before the first cycle; the sweep runs in a child process with a
+        # timeout, because an entry that slipped past would hang the adder
+        path = [str(SRC), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run([sys.executable, "-c", LADDER_FAULT_SWEEP], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        products, mismatches = map(int, proc.stdout.split())
+        assert products + mismatches == 2 * 80 * 256
+        assert products and mismatches
 
     def test_a_residue_left_after_the_last_cycle_raises_mismatch(self, monkeypatch):
         # n = 4, k = 3 runs 3 full-width cycles; a residue of 8 handed on

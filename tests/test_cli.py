@@ -131,6 +131,14 @@ class TestMul:
         assert out == ""
         assert err == "error: k 17 above the maximum digit width 16\n"
 
+    def test_simulator_fault_exits_one(self, capsys, residue_past_bound):
+        # a fault of the simulator, not of the input, as verify and compare
+        # report it
+        code, out, err = run(capsys, "mul", "--a", "63", "--b", "63", "--n", "6")
+        assert code == 1
+        assert out == ""
+        assert err == "error: residue 128 breaks the 2^n bound\n"
+
     def test_non_finite_clock(self, capsys):
         code, out, err = run(capsys, "mul", "--a", "3", "--b", "5",
                              "--clock-ns", "nan")

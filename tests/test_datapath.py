@@ -92,6 +92,10 @@ class TestMultipleTable:
             table = build_multiple_table(Word(21, 8), k)
             assert len(table) == 1 << (k - 1)
 
+    def test_refuses_a_digit_width_below_one(self):
+        with pytest.raises(ValueError, match="^digit width must be positive, got 0$"):
+            build_multiple_table(Word(1, 8), 0)
+
     def test_refuses_a_digit_wider_than_sixteen_bits(self):
         # SimConfig's bound, kept at the public entry: k=18 would build
         # 2^17 entries and peak near 100 MB

@@ -233,6 +233,14 @@ class TestWorkedExample:
         assert res.digit_cycles == 2
         assert res.total_time_ns == 30.0 + 4 * 40.0
 
+    def test_repr_shows_the_inputs_and_the_product(self):
+        res = simulate(Word(13, 6), Word(63, 6), cfg6())
+        assert repr(res) == (
+            "SimResult(a=Word(0b001101, width=6), b=Word(0b111111, width=6), "
+            "config=SimConfig(n=6, k=3, adder_width=15, clock_period_ns=40.0, "
+            "load_delay_ns=30.0, flush_policy=<FlushPolicy.FULL_WIDTH: 'full_width'>), "
+            "product=Word(0b001100110011, width=12))")
+
     def test_product_binary_rendering(self):
         res = simulate(Word(13, 6), Word(63, 6), cfg6())
         assert res.product.to_bin() == "001100110011"
@@ -346,6 +354,20 @@ class TestCycleInvariants:
         with pytest.raises(AdderSizingError, match="bound"):
             simulate(Word(1, 4), Word(1, 4), cfg)
 
+    def test_a_negative_residue_breaks_the_bound(self, monkeypatch):
+        # the residue register is unsigned, so the range check that refuses
+        # 2^n refuses -1 too, in the cycle that makes it
+        calls = []
+
+        def minus_one(residue, pp, k):
+            calls.append(residue)
+            return 0, -1
+
+        monkeypatch.setattr(engine, "_central_step", minus_one)
+        with pytest.raises(AdderSizingError, match="^residue -1 breaks the 2\\^n bound$"):
+            simulate(Word(5, 4), Word(10, 4), SimConfig(n=4, k=2))
+        assert calls == [0]
+
     @pytest.mark.parametrize("offset,raises", [(-1, False), (0, True)])
     def test_residue_bound_is_two_to_the_n(self, monkeypatch, offset, raises):
         # b = 2 selects ladder entry 1 shifted once, so an entry of
@@ -372,17 +394,19 @@ class TestCycleInvariants:
             simulate(Word(21, 6), Word(35, 6), SimConfig(n=6, k=3, adder_width=11))
         assert str(exc.value) == "residue 256 breaks the 2^n bound"
 
-    @pytest.mark.parametrize("offset,raises", [(-1, False), (0, True)])
+    @pytest.mark.parametrize("offset,raises", [(-1, False), (0, True), (-65, True)])
     def test_ladder_entries_must_fit_n_plus_k_bits(self, monkeypatch, offset, raises):
         # every partial product is a ladder entry shifted by at most k - 1, so
         # entries below 2^(n+k) keep it in the barrel shifter's n + 2k - 1
-        # bits; the check covers every entry, selected by a digit or not
+        # bits; the check covers every entry, selected by a digit or not, and
+        # as the registers are unsigned it refuses a negative entry (offset
+        # -65 makes entry 3 read -1) the same way
         cfg = SimConfig(n=4, k=2)
-        monkeypatch.setattr(engine, "_ladder",
-                            lambda base, k: {1: base, 3: (1 << (cfg.n + k)) + offset})
+        entry = (1 << (cfg.n + cfg.k)) + offset
+        monkeypatch.setattr(engine, "_ladder", lambda base, k: {1: base, 3: entry})
         if raises:
-            with pytest.raises(WidthOverflowError,
-                               match="^ladder entry 64 does not fit in 6 bits$"):
+            with pytest.raises(AdderSizingError,
+                               match=f"^ladder entry {entry} does not fit in 6 bits$"):
                 simulate(Word(1, 4), Word(1, 4), cfg)
         else:
             assert simulate(Word(1, 4), Word(1, 4), cfg).product.value == 1
@@ -1005,6 +1029,31 @@ class TestCheckerWorkIsBoundedByTheDocument:
         with pytest.raises(ValueError) as info:
             verify_trace_dict(doc)
         assert str(info.value) == "trace has 3 entries, the run gives 4"
+
+    @staticmethod
+    def one_record_too_many():
+        # the 13 x 63 document with its last record repeated as cycle 4
+        doc = to_trace_dict(simulate(Word(13, 6), Word(63, 6), cfg6()))
+        doc["trace"].append({**doc["trace"][-1], "cycle": 4})
+        return doc
+
+    def test_a_long_trace_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            verify_trace_dict(self.one_record_too_many())
+        assert str(info.value) == "trace has 5 entries, the run gives 4"
+
+    def test_a_long_trace_is_named_after_its_records(self):
+        # the records the run gives are checked first; the length only once
+        # each of them matches
+        doc = self.one_record_too_many()
+        doc["trace"][0]["pp"] = "0x5c"
+        with pytest.raises(ValueError) as info:
+            verify_trace_dict(doc)
+        assert str(info.value) == "trace[0].pp is '0x5c', the run gives '0x5b'"
+        doc["trace"][0]["pp"] = "0x5b"
+        with pytest.raises(ValueError) as info:
+            verify_trace_dict(doc)
+        assert str(info.value) == "trace has 5 entries, the run gives 4"
 
 
 def oracle_json(result):

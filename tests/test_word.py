@@ -32,11 +32,14 @@ class TestWordConstruction:
         assert Word(5, 4) == Word(5, 4)
         assert Word(5, 4) != Word(5, 5)
         assert hash(Word(5, 4)) == hash(Word(5, 4))
+        assert Word(5, 4).__eq__(5) is NotImplemented
+        assert Word(5, 4) != 5
 
     def test_formatting(self):
         w = Word(13, 6)
         assert w.to_bin() == "001101"
         assert w.to_hex() == "0xd"
+        assert repr(w) == "Word(0b001101, width=6)"
 
     def test_wide_words_supported(self):
         # widths well past 128 bits work; Python ints impose no ceiling
@@ -50,14 +53,23 @@ class TestDigit:
     def test_in_range(self):
         d = Digit(5, 3)
         assert d.value == 5 and d.k == 3
+        assert repr(d) == "Digit(0b101, k=3)"
 
     def test_out_of_range(self):
         with pytest.raises(WidthOverflowError):
             Digit(8, 3)
+        with pytest.raises(WidthOverflowError):
+            Digit(-1, 3)
+
+    def test_zero_width(self):
+        with pytest.raises(ValueError, match="^digit width must be positive, got 0$"):
+            Digit(0, 0)
 
     def test_equality(self):
         assert Digit(5, 3) == Digit(5, 3)
         assert Digit(1, 1) != Digit(1, 2)
+        assert Digit(1, 1).__eq__(1) is NotImplemented
+        assert Digit(1, 1) != 1
 
 
 class TestParsing:
