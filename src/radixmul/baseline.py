@@ -12,7 +12,7 @@ record per cycle.
 
 from dataclasses import dataclass, fields
 
-from .datapath import AdderSizingError
+from .datapath import AdderSizingError, ControlError
 from .engine import SimConfig, _run, cycle_count_model
 from .word import Word, WidthMismatchError
 
@@ -92,15 +92,16 @@ def compare(a: Word, b: Word, cfg: SimConfig) -> ComparisonReport:
     cycle counts, the digit cycles being cfg.digit_cycles. An
     AdderSizingError inside the simulator (a ladder entry, residue or
     product that its register cannot hold, which the sizing rules say
-    cannot happen) is a fault of the simulator on this pair and raises
-    ProductMismatchError too, with that error as its cause; operands
-    that do not match each other or cfg.n stay input errors.
+    cannot happen) or a ControlError (a decoder-table selection the mux
+    has no input for) is a fault of the simulator on this pair and
+    raises ProductMismatchError too, with that error as its cause;
+    operands that do not match each other or cfg.n stay input errors.
     """
     expected = oracle_multiply(a, b)
     sa_product, sa_cycles = shift_add_multiply(a, b)
     try:
         product, cycles = _run(a, b, cfg, None)
-    except AdderSizingError as exc:
+    except (AdderSizingError, ControlError) as exc:
         raise ProductMismatchError(f"a={a.to_hex()} b={b.to_hex()}: {exc}") from exc
     if not (expected.value == sa_product.value == product):
         raise ProductMismatchError(

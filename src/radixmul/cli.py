@@ -2,8 +2,8 @@
 
 Operands accept decimal, 0x-prefixed hexadecimal, or bin:-prefixed
 MSB-first binary. Exit codes: 0 success, 1 correctness failure (a
-mismatch, or a datapath register that cannot hold its value), 2 usage
-or parse error.
+mismatch, a datapath register that cannot hold its value, or a mux
+selection with no input), 2 usage or parse error.
 """
 
 import argparse
@@ -13,7 +13,7 @@ import sys
 from dataclasses import fields
 
 from .baseline import ProductMismatchError, compare
-from .datapath import AdderSizingError
+from .datapath import AdderSizingError, ControlError
 from .engine import FlushPolicy, SimConfig, simulate, to_trace_json
 from .word import Word, parse_word
 
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProductMismatchError, AdderSizingError) as exc:
+    except (ProductMismatchError, AdderSizingError, ControlError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except (ValueError, OSError) as exc:

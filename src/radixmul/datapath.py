@@ -39,7 +39,11 @@ __all__ = [
 
 
 class ControlError(ValueError):
-    """Mux or shifter control inputs that no digit can legally produce."""
+    """Mux or shifter control inputs that no digit can legally produce.
+
+    A run raises it when the decoder's control table selects a mux line
+    the ladder has no entry for; a correctness fault of the simulator,
+    as compare and the CLI treat it, not an input error."""
 
 
 class AdderSizingError(WidthOverflowError):

@@ -37,9 +37,9 @@ w bits holds a value exactly when value >> w is 0, which is nonzero
 both for a value too wide and, the registers being unsigned, for any
 negative value. Every register fault raises AdderSizingError; the
 datapath's integer blocks have no error path. The operands' widths are
-checked on entry; every ladder entry is checked once per run against
-n + k bits, so every partial product (an entry shifted by at most
-k - 1) fits the barrel shifter's n + 2k - 1 output bits; masking keeps
+checked on entry; every ladder entry is checked against n + k bits
+once per ladder build, so every partial product (an entry shifted by
+at most k - 1) fits the barrel shifter's n + 2k - 1 output bits; masking keeps
 the emitted bits within k; the residue is checked against n bits every
 cycle, and the product against its 2n-bit register, with the residue
 left after the last cycle folded in above the emitted bits. So the
@@ -51,6 +51,16 @@ residue of at least 2^(n+2), so the residue check shows on every cycle
 that each sum fit the adder. No run goes past full_width_cycles, the
 emission slots of all 2n bits, so an early_stop run whose residue never
 drains ends there and raises that error.
+
+The initial adders build the multiplicand's odd multiples once, and the
+mux and shifter only select and shift them, so _run holds the last
+ladder it checked, entry 0 being the zero line, as one module-level
+tuple keyed on the multiplicand's value, n, k and the builder
+(_ladder, so a replaced builder is always run). It builds and checks a
+ladder only when that key changes, never holds one that fails its
+check, and reads and replaces key and ladder as one tuple, so no run,
+in any thread, pairs one key with another run's ladder. A decoder
+table that selects a line the ladder lacks raises ControlError.
 
 The trace format lives in the writer, to_trace_dict and to_trace_json.
 verify_trace_dict reads only a document's inputs, walks its records
@@ -65,7 +75,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
 
-from .datapath import _MAX_K, AdderSizingError, _central_step, _controls, _ladder
+from .datapath import _MAX_K, AdderSizingError, ControlError, _central_step, _controls, _ladder
 from .word import Word
 
 __all__ = [
@@ -130,6 +140,13 @@ class SimConfig:
     the checks hold for its lifetime: assigning a field raises
     dataclasses.FrozenInstanceError, and dataclasses.replace builds a
     new config through the same checks.
+
+    Two cycle bounds are set here too, once, as plain attributes that
+    are not fields (so no repr, comparison or trace document holds
+    them) and that cannot be assigned: digit_cycles, the digit-consuming
+    cycles, one per k-bit chunk of the padded multiplier, ceil(n/k); and
+    full_width_cycles, the emission slots for all 2n product bits,
+    ceil(2n/k), never fewer than digit_cycles.
     """
 
     n: int = 16
@@ -154,6 +171,8 @@ class SimConfig:
             raise ConfigError(f"unknown flush policy {self.flush_policy!r}") from None
         if not 1 <= self.k <= self.n:
             raise ConfigError(f"need 1 <= k <= n, got n={self.n} k={self.k}")
+        object.__setattr__(self, "digit_cycles", -(-self.n // self.k))
+        object.__setattr__(self, "full_width_cycles", -(-2 * self.n // self.k))
         if self.k > _MAX_K:
             raise ConfigError(f"k {self.k} above the maximum digit width {_MAX_K}")
         if self.adder_width < self.n + self.k + 2:
@@ -172,16 +191,6 @@ class SimConfig:
             # an int timing, or the total time, too large to convert to a float
             raise ConfigError("clock_period_ns or load_delay_ns overflows a float, "
                               "alone or in the total time") from None
-
-    @property
-    def digit_cycles(self) -> int:
-        """Digit-consuming cycles: one per k-bit chunk of the padded multiplier."""
-        return -(-self.n // self.k)
-
-    @property
-    def full_width_cycles(self) -> int:
-        """Emission slots for all 2n product bits; never fewer than digit_cycles."""
-        return -(-2 * self.n // self.k)
 
     def total_time_ns(self, cycles: int) -> float:
         """Load delay plus one clock period per cycle."""
@@ -253,29 +262,45 @@ def simulate(a: Word, b: Word, cfg: SimConfig) -> SimResult:
     mux's constant-zero line, and only the record gives a flush cycle a
     null digit. simulate hands _run a list, so one CycleRecord is kept
     per cycle. No Digit is built, and the one Word built is the
-    product. A ladder entry outside n + k bits, negative or wide enough
-    to give a partial product past the barrel shifter's n + 2k - 1
-    output bits, raises AdderSizingError before the first cycle.
+    product. The ladder is built and checked once per multiplicand,
+    width, digit width and builder, and held for the runs after it; a
+    ladder entry outside n + k bits, negative or wide enough to give a
+    partial product past the barrel shifter's n + 2k - 1 output bits,
+    raises AdderSizingError before the first cycle, on every run, as
+    such a ladder is never held. A control-table selection with no mux
+    input raises ControlError.
     """
     trace: list[CycleRecord] = []
     product, _ = _run(a, b, cfg, trace)
     return SimResult(a, b, cfg, Word(product, 2 * cfg.n), trace)
 
 
+# the ladder _run checked last: ((a, n, k, builder), its odd multiples with
+# the mux's zero line as entry 0); one tuple, read and replaced whole, so no
+# run pairs one key with another run's ladder
+_held_ladder: tuple = (None, None)
+
+
 def _run(a: Word, b: Word, cfg: SimConfig,
          trace: list[CycleRecord] | None) -> tuple[int, int]:
     # the cycle loop simulate documents: the product as an int and the cycle
     # count, with one CycleRecord appended to trace per cycle when it is a list
+    global _held_ladder
     if a.width != cfg.n or b.width != cfg.n:
         raise ConfigError(
             f"operand widths ({a.width}, {b.width}) do not match n={cfg.n}"
         )
     n, k = cfg.n, cfg.k
-    odd = _ladder(a.value, k)
-    for entry in odd.values():
-        if entry >> (n + k):
-            raise AdderSizingError(f"ladder entry {entry} does not fit in {n + k} bits")
-    odd[0] = 0  # the mux's constant-zero line, which digit 0 selects
+    # the builder is in the key, so a replaced engine._ladder is always run
+    key = (a.value, n, k, _ladder)
+    held, odd = _held_ladder
+    if held != key:
+        odd = _ladder(a.value, k)
+        for entry in odd.values():
+            if entry >> (n + k):
+                raise AdderSizingError(f"ladder entry {entry} does not fit in {n + k} bits")
+        odd[0] = 0  # the mux's constant-zero line, which digit 0 selects
+        _held_ladder = (key, odd)
     controls = _controls(k)
     multiplier = b.value
     mask = (1 << k) - 1
@@ -285,22 +310,29 @@ def _run(a: Word, b: Word, cfg: SimConfig,
     residue = product = 0
 
     cycle = 0
-    # cycle < full_width and (cycle < stop or residue), as stop <= full_width,
-    # with the test that decides most cycles first
-    while cycle < stop or (residue and cycle < full_width):
-        digit = multiplier & mask
-        multiplier >>= k
-        odd_core, shift = controls[digit]
-        pp = odd[odd_core] << shift
-        emitted, after = _central_step(residue, pp, k)
-        if after >> n:
-            raise AdderSizingError(f"residue {after} breaks the 2^n bound")
-        if trace is not None:
-            trace.append(CycleRecord(cycle, digit if cycle < digit_cycles else None,
-                                     odd_core, shift, pp, residue, after, emitted))
-        product |= emitted << cycle * k
-        residue = after
-        cycle += 1
+    # odd[odd_core] is the loop's one mapping lookup, so a KeyError is a
+    # selection the decoder's table makes and the mux has no input for; the
+    # try wraps the loop, not the lookup, which on 3.11 costs two
+    # instructions per cycle
+    try:
+        # cycle < full_width and (cycle < stop or residue), as stop <= full_width,
+        # with the test that decides most cycles first
+        while cycle < stop or (residue and cycle < full_width):
+            digit = multiplier & mask
+            multiplier >>= k
+            odd_core, shift = controls[digit]
+            pp = odd[odd_core] << shift
+            emitted, after = _central_step(residue, pp, k)
+            if after >> n:
+                raise AdderSizingError(f"residue {after} breaks the 2^n bound")
+            if trace is not None:
+                trace.append(CycleRecord(cycle, digit if cycle < digit_cycles else None,
+                                         odd_core, shift, pp, residue, after, emitted))
+            product |= emitted << cycle * k
+            residue = after
+            cycle += 1
+    except KeyError:
+        raise ControlError(f"no mux input for selection {odd_core}") from None
 
     product |= residue << cycle * k
     if product >> 2 * n:

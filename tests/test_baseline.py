@@ -14,7 +14,7 @@ from radixmul.baseline import (
     oracle_multiply,
     shift_add_multiply,
 )
-from radixmul.datapath import AdderSizingError
+from radixmul.datapath import AdderSizingError, ControlError
 from radixmul.engine import FlushPolicy, SimConfig
 from radixmul.word import WidthMismatchError, Word
 
@@ -227,6 +227,16 @@ class TestCompare:
         with pytest.raises(ProductMismatchError) as exc:
             compare(Word(1, 6), Word(7, 6), SimConfig(n=6))
         assert str(exc.value) == "a=0x1 b=0x7: oracle=0x7 shift_add=0x7 reformed=0x24f"
+
+    def test_decoder_fault_raises_mismatch(self, monkeypatch):
+        # a decoder table whose digit 1 selects mux line 9 asks the mux for
+        # a line the ladder does not have, a fault of the simulator on the pair
+        monkeypatch.setattr(engine, "_controls",
+                            lambda k: ((0, 0), (9, 0)) + datapath._controls(k)[2:])
+        with pytest.raises(ProductMismatchError) as exc:
+            compare(Word(3, 4), Word(4, 4), SimConfig(n=4, k=2))
+        assert str(exc.value) == "a=0x3 b=0x4: no mux input for selection 9"
+        assert type(exc.value.__cause__) is ControlError
 
     def test_builds_no_cycle_record(self, monkeypatch):
         # compare reads only the product and the cycle count, so its run

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from radixmul import baseline, cli, engine
+from radixmul import baseline, cli, datapath, engine
 from radixmul.baseline import ProductMismatchError
 from radixmul.engine import verify_trace_dict
 
@@ -45,6 +45,13 @@ def ladder_past_width(monkeypatch):
         return {1: 1 << 9}
 
     monkeypatch.setattr(engine, "_ladder", broken_ladder)
+
+
+@pytest.fixture
+def decoder_selects_line_nine(monkeypatch):
+    # a decoder table whose digit 1 selects mux line 9, which no ladder has
+    monkeypatch.setattr(engine, "_controls",
+                        lambda k: ((0, 0), (9, 0)) + datapath._controls(k)[2:])
 
 
 class TestMul:
@@ -139,6 +146,12 @@ class TestMul:
         assert out == ""
         assert err == "error: residue 128 breaks the 2^n bound\n"
 
+    def test_decoder_fault_exits_one(self, capsys, decoder_selects_line_nine):
+        code, out, err = run(capsys, "mul", "--a", "3", "--b", "1", "--n", "4", "--k", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: no mux input for selection 9\n"
+
     def test_non_finite_clock(self, capsys):
         code, out, err = run(capsys, "mul", "--a", "3", "--b", "5",
                              "--clock-ns", "nan")
@@ -191,6 +204,14 @@ class TestVerify:
         assert code == 1
         assert out == "verify n=6 k=3 exhaustive: 4096 pairs, 4096 failures\n"
         assert err == "MISMATCH a=0x0 b=0x0: ladder entry 512 does not fit in 9 bits\n"
+
+    def test_decoder_fault_is_a_failure(self, capsys, decoder_selects_line_nine):
+        # every pair whose multiplier has a 2-bit digit 1 fails: the 7
+        # multipliers 1, 4, 5, 6, 7, 9 and 13, under each of 16 multiplicands
+        code, out, err = run(capsys, "verify", "--n", "4", "--k", "2", "--exhaustive")
+        assert code == 1
+        assert out == "verify n=4 k=2 exhaustive: 256 pairs, 112 failures\n"
+        assert err == "MISMATCH a=0x0 b=0x1: no mux input for selection 9\n"
 
     @pytest.mark.parametrize("count", ["-3", "0"])
     def test_random_count_must_be_positive(self, capsys, count):

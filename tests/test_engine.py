@@ -3,12 +3,15 @@ import itertools
 import json
 import math
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from radixmul import datapath, engine
+from radixmul.baseline import compare
 from radixmul.datapath import (
     AdderSizingError,
     barrel_shift,
@@ -196,6 +199,7 @@ class TestSimConfig:
     @pytest.mark.parametrize("name,value", [
         ("n", 6), ("k", 0), ("adder_width", 5), ("clock_period_ns", 1.0),
         ("load_delay_ns", 0.0), ("flush_policy", "early_stop"),
+        ("digit_cycles", 1), ("full_width_cycles", 1),
     ])
     def test_a_config_cannot_be_changed_after_its_checks(self, name, value):
         # the checks run once, at construction, so no field may change after them
@@ -216,6 +220,30 @@ class TestSimConfig:
     def test_equal_configs_hash_alike(self):
         assert hash(SimConfig(n=16)) == hash(SimConfig())
         assert len({SimConfig(), SimConfig(n=16, adder_width=25)}) == 1
+
+    def test_cycle_bounds_are_set_at_config_time(self):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                cfg = SimConfig(n=n, k=k)
+                assert cfg.digit_cycles == math.ceil(n / k)
+                assert cfg.full_width_cycles == math.ceil(2 * n / k)
+
+    def test_cycle_bounds_are_not_fields(self):
+        # they follow from n and k, so no config, repr or trace document
+        # carries a copy that could disagree
+        cfg = SimConfig(n=7, k=3)
+        names = [f.name for f in dataclasses.fields(SimConfig)]
+        doc = to_trace_dict(simulate(Word(5, 7), Word(9, 7), cfg))
+        for name in ("digit_cycles", "full_width_cycles"):
+            assert name not in names
+            assert name not in repr(cfg)
+            assert name not in doc["config"]
+
+    def test_a_replaced_config_recomputes_its_cycle_bounds(self):
+        cfg = dataclasses.replace(SimConfig(n=7, k=3), k=2)
+        assert (cfg.digit_cycles, cfg.full_width_cycles) == (4, 7)
+        cfg = dataclasses.replace(cfg, n=12)
+        assert (cfg.digit_cycles, cfg.full_width_cycles) == (6, 12)
 
 
 class TestWorkedExample:
@@ -519,6 +547,96 @@ class TestRecordFreeRun:
                     wa, wb = Word(a, n), Word(b, n)
                     res = simulate(wa, wb, cfg)
                     assert engine._run(wa, wb, cfg, None) == (res.product.value, res.cycles)
+
+
+class TestHeldLadder:
+    # _run keeps the last ladder it checked and builds it again only for a
+    # new multiplicand, width, digit width or builder
+
+    def test_an_exhaustive_walk_builds_one_ladder_per_multiplicand(self, monkeypatch):
+        real_ladder = engine._ladder
+        built = []
+
+        def counting_ladder(base, k):
+            built.append(base)
+            return real_ladder(base, k)
+
+        monkeypatch.setattr(engine, "_ladder", counting_ladder)
+        cfg = SimConfig(n=4, k=2)
+        for a in range(16):
+            for b in range(16):
+                assert compare(Word(a, 4), Word(b, 4), cfg).product.value == a * b
+        assert built == list(range(16))
+
+    def test_a_replaced_builder_is_run_for_a_held_multiplicand(self, monkeypatch):
+        cfg = SimConfig(n=4, k=2)
+        assert simulate(Word(5, 4), Word(7, 4), cfg).product.value == 35
+        monkeypatch.setattr(engine, "_ladder", lambda base, k: {1: 1 << 6, 3: 3 * base})
+        with pytest.raises(AdderSizingError, match="^ladder entry 64 does not fit in 6 bits$"):
+            simulate(Word(5, 4), Word(7, 4), cfg)
+
+    def test_a_held_ladder_is_checked_again_for_a_narrower_width(self, monkeypatch):
+        # entry 3 of 64 fits n + k = 8 bits at n = 6 but not 6 bits at n = 4
+        monkeypatch.setattr(engine, "_ladder", lambda base, k: {1: base, 3: 1 << 6})
+        assert simulate(Word(1, 6), Word(1, 6), SimConfig(n=6, k=2)).product.value == 1
+        with pytest.raises(AdderSizingError, match="^ladder entry 64 does not fit in 6 bits$"):
+            simulate(Word(1, 4), Word(1, 4), SimConfig(n=4, k=2))
+
+    def test_a_faulty_ladder_is_never_held(self, monkeypatch):
+        cfg = SimConfig(n=4, k=2)
+        monkeypatch.setattr(engine, "_ladder", lambda base, k: {1: base, 3: 1 << 6})
+        for _ in range(2):
+            with pytest.raises(AdderSizingError, match="^ladder entry 64 does not fit"):
+                simulate(Word(5, 4), Word(7, 4), cfg)
+        monkeypatch.undo()
+        assert simulate(Word(5, 4), Word(7, 4), cfg).product.value == 35
+
+    def test_one_multiplicand_under_interleaved_configs(self):
+        # one multiplicand value under every config with n <= 6, switched
+        # on every run: consecutive runs differ in n, in k, or only in the
+        # flush policy, which reuses the held ladder
+        configs = [SimConfig(n=n, k=k, flush_policy=policy) for n in range(1, 7)
+                   for k in range(1, n + 1) for policy in FlushPolicy]
+        for b in range(1 << 6):
+            for cfg in configs:
+                if b >> cfg.n:
+                    continue
+                wa, wb = Word(5 % (1 << cfg.n), cfg.n), Word(b, cfg.n)
+                assert engine._run(wa, wb, cfg, None) == (
+                    wa.value * b, cycle_count_model(wa, wb, cfg))
+
+    def test_threads_each_get_their_own_products(self):
+        # 4 threads share the held ladder; each runs its own multiplicands,
+        # 8 runs apiece, with the interpreter switching threads every
+        # microsecond, so runs of other threads replace the ladder mid-run
+        cfg = SimConfig(n=16, k=3)
+        wrong = []
+
+        def work(t):
+            rng = random.Random(t)
+            multiplicands = [rng.getrandbits(16) for _ in range(4)]
+            for i in range(3000):
+                a, b = multiplicands[i // 8 % 4], rng.getrandbits(16)
+                try:
+                    product = compare(Word(a, 16), Word(b, 16), cfg).product.value
+                except Exception as exc:  # any failure is a wrong run
+                    wrong.append((a, b, exc))
+                else:
+                    if product != a * b:
+                        wrong.append((a, b, product))
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestCycleCountModel:
